@@ -21,9 +21,9 @@ from .inference import (
     BootstrapPlan,
     HIGHER_IS_RANK1,
     LOWER_IS_RANK1,
-    bootstrap_se,
     compare_pair,
     rank_probability_matrix,
+    replicate_stats,
 )
 from .sip import delta_ecdf, sip_matrix
 
@@ -50,7 +50,7 @@ def _load_matrix(path):
 def _write_json(path, command, report):
     payload = {"schema_version": SCHEMA_VERSION, "command": command, "report": report}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -77,13 +77,13 @@ def cmd_stats(args):
     matrix = _load_matrix(args.data)
     kind = _statkind(args)
     plan = _plan(args)
+    reps = replicate_stats(matrix.errors, kind, plan)
     rows = []
     print(f"{kind.label} with bootstrap standard errors (B={plan.B}, seed={plan.seed})")
     print(f"{'method':>16}{'value':>12}{'u(value)':>12}")
-    for name in matrix.method_names:
-        col = matrix.column(name)
-        value = evaluate(kind, col)
-        se = bootstrap_se(col, kind, plan)
+    for k, name in enumerate(matrix.method_names):
+        value = evaluate(kind, matrix.column(k))
+        se = float(reps[:, k].std(ddof=1))
         rows.append({"method": name, "value": value, "se": se})
         print(f"{name:>16}{value:>12.5g}{se:>12.3g}")
     if args.csv:

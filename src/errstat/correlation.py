@@ -34,14 +34,10 @@ def midranks(x):
     """Ranks 1..N with ties getting the average of their rank span."""
     xv = np.asarray(x, dtype=float)
     order = np.argsort(xv, kind="stable")
+    xs = xv[order]
+    bounds = np.append(np.flatnonzero(np.append(True, xs[1:] != xs[:-1])), xs.size)
     ranks = np.empty(xv.size, dtype=float)
-    i = 0
-    while i < xv.size:
-        j = i
-        while j + 1 < xv.size and xv[order[j + 1]] == xv[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (bounds[:-1] + bounds[1:] - 1) + 1.0, np.diff(bounds))
     return ranks
 
 
@@ -81,12 +77,12 @@ def correlation_matrix(data, method="spearman", labels=None):
         labels = list(labels) if labels is not None else [f"M{j + 1}" for j in range(values.shape[1])]
     if values.ndim != 2 or values.shape[1] < 2:
         raise ValueError("need at least 2 columns")
-    corr = pearson if method == "pearson" else spearman
     if method not in ("pearson", "spearman"):
         raise ValueError(f"unknown correlation method {method!r}")
     k = values.shape[1]
+    cols = [midranks(c) for c in values.T] if method == "spearman" else list(values.T)
     out = np.eye(k)
     for i in range(k):
         for j in range(i + 1, k):
-            out[i, j] = out[j, i] = corr(values[:, i], values[:, j])
+            out[i, j] = out[j, i] = pearson(cols[i], cols[j])
     return CorrMatrix(values=out, labels=labels, method=method)

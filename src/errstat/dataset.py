@@ -172,20 +172,20 @@ def load_table(source, fmt="csv"):
     `source` may be a path, a text/binary file object, or a CSV string.
     Expected layout: header `System,Ref[,uRef],<M1>[,u:<M1>],...`, one row
     per system, `#` lines are comments.  Rows with empty cells are dropped
-    with a warning (paired bootstrap needs rectangular data); rows with
-    non-numeric garbage abort the parse.
+    with a warning (paired bootstrap needs rectangular data); non-numeric
+    or non-finite cells abort the parse.  A leading UTF-8 BOM is skipped.
     """
     if fmt != "csv":
         raise ValidationError(f"unsupported format {fmt!r}")
     if isinstance(source, (str, bytes)) and not _looks_like_inline_csv(source):
-        with open(source, "r", encoding="utf-8") as fh:
+        with open(source, "r", encoding="utf-8-sig") as fh:
             return _load_csv(fh)
     if isinstance(source, bytes):
-        source = source.decode("utf-8")
+        source = source.decode("utf-8-sig")
     if isinstance(source, str):
         return _load_csv(io.StringIO(source))
     if isinstance(source.read(0), bytes):
-        source = io.TextIOWrapper(source, encoding="utf-8")
+        source = io.TextIOWrapper(source, encoding="utf-8-sig")
     return _load_csv(source)
 
 
@@ -216,11 +216,12 @@ def _load_csv(fh):
         values = []
         for name, cell in zip(header[1:], cells[1:]):
             try:
-                values.append(float(cell))
+                value = float(cell)
             except ValueError:
-                raise ValidationError(
-                    f"row {lineno}: non-numeric cell {cell!r} in column {name!r}"
-                ) from None
+                raise ValidationError(f"row {lineno}: non-numeric cell {cell!r} in column {name!r}") from None
+            if not math.isfinite(value):
+                raise ValidationError(f"row {lineno}: non-finite cell {cell!r} in column {name!r}")
+            values.append(value)
         kept_ids.append(cells[0])
         kept_values.append(values)
 

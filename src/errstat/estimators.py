@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import stats as _sps
+from scipy.special import chdtri
 
 from .special import betainc_reg
 
@@ -271,7 +271,7 @@ def chi2_weighted(errors, u, mean):
     if np.any(uu <= 0):
         raise ValueError("all uncertainties must be > 0")
     chi2 = float((((e - mean) / uu) ** 2).sum())
-    lo, hi = _sps.chi2.ppf([0.025, 0.975], df=e.size - 1)
+    lo, hi = chdtri(e.size - 1, [0.975, 0.025])  # upper-tail probabilities
     return chi2, bool(lo <= chi2 <= hi)
 
 
@@ -328,7 +328,7 @@ def cochran_rescale(errors, u, max_iter=100, tol=1e-8):
     positive = denom > 0.0
     if positive.any():
         chi2w = float((((e[positive] - mean) ** 2) / denom[positive]).sum())
-        lo, hi = _sps.chi2.ppf([0.025, 0.975], df=n - 1)
+        lo, hi = chdtri(n - 1, [0.975, 0.025])
         consistent = bool(lo <= chi2w <= hi)
     else:
         chi2w, consistent = 0.0, False

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 from scipy.special import ndtr
 
 from .estimators import StatKind, evaluate_rows
@@ -105,6 +104,9 @@ def _gh_moments(g, h):
     """
     if h >= 0.5:
         raise ValueError(f"g-and-h variance is infinite for h >= 0.5 (got h={h})")
+    if g == 0.0 and h == 0.0:  # exact standard-normal moments; no quadrature import needed
+        return 0.0, 1.0
+    from scipy import integrate
     norm = 1.0 / np.sqrt(2.0 * np.pi)
     c1 = 1.0 - h  # damping of T(z) phi(z)
     c2 = 1.0 - 2.0 * h  # damping of T(z)^2 phi(z)

@@ -4,7 +4,10 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from errstat.cli import run
+from errstat.cli import _write_json, run
+from errstat.dataset import errors_from_table, load_table
+from errstat.estimators import StatKind, evaluate
+from errstat.inference import BootstrapPlan, bootstrap_se
 
 CSV = """System,Ref,M1,M2,M3
 s01,1.00,0.95,1.10,1.02
@@ -35,6 +38,37 @@ def test_stats_writes_json(data, tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["schema_version"] == "1"
     assert len(payload["report"]["per_method"]) == 3
+
+
+@pytest.mark.parametrize("stat", ["mue", "rmsd", "q95"])
+def test_stats_json_equals_per_method_bootstrap_se(data, tmp_path, stat):
+    # One shared index draw for all methods gives each column the same
+    # replicates as a separate bootstrap_se call on that column.
+    out = tmp_path / "stats.json"
+    assert run(["stats", data, "--stat", stat, "--boot", "300", "--seed", "5", "--json", str(out)]) == 0
+    matrix = errors_from_table(load_table(data))
+    kind, plan = StatKind.parse(stat), BootstrapPlan(B=300, seed=5)
+    rows = [
+        {"method": m, "value": evaluate(kind, matrix.column(m)), "se": bootstrap_se(matrix.column(m), kind, plan)}
+        for m in matrix.method_names
+    ]
+    expected = tmp_path / "expected.json"
+    _write_json(str(expected), "stats", {"stat": kind.label, "n_systems": matrix.n_systems, "per_method": rows})
+    assert out.read_bytes() == expected.read_bytes()
+
+
+def test_non_finite_cell_exits_2_naming_row_and_column(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text(CSV.replace("s04,4.00,4.15", "s04,4.00,nan"))
+    out = tmp_path / "stats.json"
+    assert run(["stats", str(path), "--boot", "200", "--json", str(out)]) == 2
+    assert "row 5: non-finite cell 'nan' in column 'M1'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_json_reports_refuse_nan(tmp_path):
+    with pytest.raises(ValueError):
+        _write_json(str(tmp_path / "r.json"), "stats", {"value": float("nan")})
 
 
 def test_compare_pair(data, capsys):

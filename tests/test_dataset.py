@@ -53,6 +53,24 @@ def test_non_numeric_cell_rejected():
         load_table("System,Ref,M1\na,1.0,0.9\nb,oops,2.1\nc,3.0,3.0\n")
 
 
+@pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "Infinity", "1e999"])
+def test_non_finite_cell_rejected(cell):
+    with pytest.raises(ValidationError, match="row 3: non-finite cell .* in column 'M1'"):
+        load_table(f"System,Ref,M1\na,1.0,0.9\nb,2.0,{cell}\nc,3.0,3.0\n")
+    with pytest.raises(ValidationError, match="row 2: non-finite cell .* in column 'uRef'"):
+        load_table(f"System,Ref,uRef,M1\na,1.0,{cell},0.9\nb,2.0,0.1,2.1\n")
+
+
+def test_utf8_bom_is_skipped(tmp_path):
+    bom = b"\xef\xbb\xbf" + BASIC.encode()
+    path = tmp_path / "bom.csv"
+    path.write_bytes(bom)
+    for source in (str(path), bom, io.BytesIO(bom)):
+        table = load_table(source)
+        assert table.system_ids == ["a", "b", "c"]
+        assert table.method_names == ["M1"]
+
+
 def test_missing_cell_drops_row_with_warning():
     with pytest.warns(UserWarning, match="row 3.*dropped"):
         table = load_table("System,Ref,M1\na,1.0,0.9\nb,,2.1\nc,3.0,3.0\n")

@@ -258,6 +258,54 @@ def test_chi2_mean_matches_dof_monte_carlo():
     assert np.mean(chi2s) == pytest.approx(n - 1, rel=0.02)
 
 
+DOF_GRID = [1, 2, 3, 4, 5, 7, 10, 19, 30, 50, 99, 100, 250, 1000, 4999, 20000]
+
+
+@pytest.mark.parametrize("df", DOF_GRID)
+def test_chi2_bounds_match_scipy_stats(df):
+    # The Birge bounds use scipy.special.chdtri (upper-tail inverse) so
+    # that scipy.stats stays off the import path; they must agree with
+    # the lower-tail quantile function of scipy.stats.chi2.
+    from scipy.special import chdtri
+    from scipy.stats import chi2
+
+    np.testing.assert_allclose(
+        chdtri(df, [0.975, 0.025]), chi2.ppf([0.025, 0.975], df), rtol=1e-13, atol=0.0
+    )
+
+
+@pytest.mark.parametrize("df", DOF_GRID)
+def test_chi2_weighted_flag_matches_scipy_stats_bounds(df):
+    # chi2 placed just inside and just outside each scipy.stats bound
+    from scipy.stats import chi2
+
+    lo, hi = chi2.ppf([0.025, 0.975], df)
+    rng = np.random.default_rng(df)
+    e = rng.normal(size=df + 1)
+    ss = float(((e - e.mean()) ** 2).sum())
+    for target, expected in ((lo * 0.999, False), (lo * 1.001, True), (hi * 0.999, True), (hi * 1.001, False)):
+        u = np.full(e.size, np.sqrt(ss / target))
+        value, consistent = chi2_weighted(e, u, float(e.mean()))
+        assert value == pytest.approx(target, rel=1e-12)
+        assert consistent is expected
+
+
+def test_cochran_flag_matches_scipy_stats_bounds():
+    from scipy.stats import chi2
+
+    rng = np.random.default_rng(21)
+    seen = set()
+    for _ in range(200):
+        n = int(rng.integers(3, 60))
+        e = rng.normal(scale=rng.uniform(0.2, 3.0), size=n)
+        u = rng.uniform(0.5, 2.0, size=n)
+        res = cochran_rescale(e, u)
+        lo, hi = chi2.ppf([0.025, 0.975], n - 1)
+        assert res.consistent == bool(lo <= res.chi2w <= hi)
+        seen.add(res.consistent)
+    assert seen == {True, False}
+
+
 # ---------------------------------------------------------------- cochran
 
 def test_cochran_zero_uncertainty_recovers_plain_mean():
