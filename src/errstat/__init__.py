@@ -51,7 +51,6 @@ from .inference import (
     p_inv,
     p_t_value,
     p_unc_value,
-    paired_resample,
     rank_probability_matrix,
     rank_summary,
 )

@@ -10,6 +10,7 @@ import argparse
 import csv
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -35,12 +36,7 @@ def _statkind(args):
 
 
 def _plan(args):
-    return BootstrapPlan(
-        B=args.boot,
-        seed=args.seed,
-        n_prime=getattr(args, "nprime", None),
-        workers=getattr(args, "workers", 1),
-    )
+    return BootstrapPlan(B=args.boot, seed=args.seed, n_prime=getattr(args, "nprime", None))
 
 
 def _load_matrix(path):
@@ -337,7 +333,7 @@ def build_parser():
     base.add_argument("--quantile-method", choices=("hd", "type7"), default="hd")
     base.add_argument("--json", metavar="PATH", help="write a JSON report")
     base.add_argument("--csv", metavar="PATH", help="write a CSV table")
-    base.add_argument("--workers", type=int, default=1, help="replicate workers (hint, no effect on results)")
+    base.add_argument("--workers", type=int, default=1, help="accepted for compatibility and ignored")
 
     data_base = argparse.ArgumentParser(add_help=False, parents=[base])
     data_base.add_argument("data", help="benchmark CSV (System,Ref[,uRef],<methods>...)")
@@ -399,14 +395,16 @@ def run(argv):
         return exc.code if exc.code is not None else 2
     if getattr(args, "what", None) == "gh" and isinstance(args.n, list):
         args.n = args.n[0]
-    try:
-        return args.func(args)
-    except (ValidationError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # pragma: no cover - internal failures
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():  # one plain stderr line per warning
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except (ValidationError, ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except Exception as exc:  # pragma: no cover - internal failures
+            print(f"internal error: {exc}", file=sys.stderr)
+            return 1
 
 
 def main():

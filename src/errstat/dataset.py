@@ -190,8 +190,8 @@ def load_table(source, fmt="csv"):
 
 
 def _looks_like_inline_csv(s):
-    text = s.decode("utf-8", errors="replace") if isinstance(s, bytes) else s
-    return "\n" in text or "," in text
+    """A table spans at least 3 lines; a path has no line break but may have commas."""
+    return ("\n" if isinstance(s, str) else b"\n") in s
 
 
 def _load_csv(fh):

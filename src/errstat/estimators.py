@@ -23,6 +23,9 @@ __all__ = [
     "WeightedMeanResult",
     "evaluate",
     "evaluate_rows",
+    "evaluate_resampled",
+    "resample_counts",
+    "weighted_sums",
     "quantile_hd",
     "quantile_type7",
     "mean_standard_error",
@@ -113,10 +116,10 @@ def evaluate(kind, errors):
 
 
 def evaluate_rows(kind, matrix):
-    """Row-wise `evaluate` on a 2-d array, vectorized for bootstrap loops.
+    """Row-wise `evaluate` on a 2-d array, vectorized for simulation loops.
 
     Gives the same numbers as calling `evaluate` on every row, but sorts
-    and reduces whole replicate blocks at once.
+    and reduces whole blocks of rows at once.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2:
@@ -131,10 +134,96 @@ def evaluate_rows(kind, matrix):
     n = m.shape[1]
     if kind.quantile_method == "hd":
         lo, w = _hd_weights(n, kind.q)
-        return xs[:, lo : lo + w.size] @ w
+        return weighted_sums(xs[:, lo : lo + w.size], w[None, :])[:, 0]
     h = (n - 1) * kind.q
     j = min(int(np.floor(h)), n - 2)
     return xs[:, j] + (h - j) * (xs[:, j + 1] - xs[:, j])
+
+
+def weighted_sums(a, b):
+    """Row-by-row dot products: entry [r, k] is sum_j a[r, j] * b[k, j].
+
+    BLAS (`@`) blocks its sums by shape and thread count, so a row's result
+    would depend on the rows around it; np.einsum sums each row in one
+    fixed order.  It buffers a lone 1 x 1 reduction in pieces, so a single
+    row is padded to two.
+    """
+    if a.shape[0] == 1:
+        return np.einsum("ij,kj->ik", np.repeat(a, 2, axis=0), b)[:1]
+    return np.einsum("ij,kj->ik", a, b)
+
+
+def resample_counts(idx, n):
+    """(b, n) float counts: entry [r, i] is how often row i occurs in idx[r].
+
+    In this resampling-vector view of the bootstrap (Efron and Tibshirani
+    1993) a resample's sum of any per-row value is a count-weighted sum.
+    """
+    offsets = n * np.arange(idx.shape[0])[:, None]
+    return np.bincount((idx + offsets).ravel(), minlength=idx.shape[0] * n).reshape(-1, n).astype(float)
+
+
+def evaluate_resampled(kind, columns, blocks):
+    """Statistic of every column of `columns` (n, K) on every resample.
+
+    Each item of `blocks` is a (b, n') index array whose row r lists the
+    rows of one resample, shared by all columns.  Returns the stacked
+    (b, K) results: entry [r, k] is `evaluate(kind, columns[row r, k])`
+    and depends on that index row alone, not on the block size or on the
+    other columns.  Means are count contractions, RMSD gathers, and
+    quantiles select the order statistics they weight from column ranks.
+    """
+    cols = np.asarray(columns, dtype=float)
+    if kind.kind == "q":
+        block = _quantile_block(kind, cols)
+    elif kind.kind == "rmsd":
+        by_col = np.ascontiguousarray(cols.T)
+
+        def block(idx):
+            return np.column_stack([c[idx].std(axis=1, ddof=1) for c in by_col])
+    else:
+        values = np.ascontiguousarray((cols if kind.kind == "mse" else np.abs(cols)).T)
+
+        def block(idx):
+            return weighted_sums(resample_counts(idx, cols.shape[0]), values) / idx.shape[1]
+    return np.concatenate([block(idx) for idx in blocks])
+
+
+def _quantile_block(kind, cols):
+    """Quantile of |column| on a block of resamples, from stable ranks.
+
+    Ranking each column once (ties get distinct ranks) turns a resample's
+    order statistics into its sorted ranks mapped back to the sorted
+    values, and only the ranks the estimator weights need sorting: the
+    Harrell-Davis window, or the two order statistics of type 7.
+    """
+    a = np.abs(cols).T
+    order = np.argsort(a, axis=1, kind="stable")
+    sorted_abs = np.take_along_axis(a, order, axis=1)
+    ranks = np.empty(a.shape, dtype=np.int16 if a.shape[1] <= 2**15 else np.int32)
+    np.put_along_axis(ranks, order, np.arange(a.shape[1], dtype=ranks.dtype)[None, :], axis=1)
+
+    def block(idx):
+        m = idx.shape[1]
+        out = np.empty((idx.shape[0], a.shape[0]))
+        for col, (rank, xs) in enumerate(zip(ranks, sorted_abs)):
+            r = rank[idx]
+            if kind.quantile_method == "type7":
+                h = (m - 1) * kind.q
+                j = min(int(np.floor(h)), m - 2)
+                r = np.partition(r, j, axis=1)
+                x0, x1 = xs[r[:, j]], xs[r[:, j + 1 :].min(axis=1)]
+                out[:, col] = x0 + (h - j) * (x1 - x0)
+                continue
+            lo, w = _hd_weights(m, kind.q)
+            if lo > 0:
+                r = np.partition(r, lo, axis=1)[:, lo:]
+            if lo + w.size < m:
+                r = np.partition(r, w.size - 1, axis=1)[:, : w.size]
+            out[:, col] = weighted_sums(xs[np.sort(r, axis=1)], w[None, :])[:, 0]
+        return out
+
+    return block
 
 
 # Beta(a, b) weight mass further than this many standard deviations from

@@ -3,22 +3,22 @@
 All resampling is paired: one index draw per replicate is shared by every
 method column, which preserves the inter-method correlation that drives
 these comparisons.  Replicate j draws its indices from a counter-based
-generator keyed solely by (seed, j), so results are bit-identical no
-matter how replicates are scheduled or parallelized.
+generator keyed solely by (seed, j), and its statistics are computed from
+that index row alone, never through BLAS.  Results are therefore
+bit-identical whatever B, the block size, the set of columns evaluated
+together or the BLAS thread count.
 
 Point values of statistics are always computed on the original sample;
 the bootstrap only supplies uncertainties and counting probabilities.
 """
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
 
-from .dataset import ErrorMatrix
-from .estimators import StatKind, evaluate, evaluate_rows
+from .estimators import StatKind, evaluate, evaluate_resampled
 
 __all__ = [
     "BootstrapPlan",
@@ -27,10 +27,10 @@ __all__ = [
     "RankEntry",
     "LOWER_IS_RANK1",
     "HIGHER_IS_RANK1",
+    "BLOCK_CELLS",
     "replicate_rng",
     "resample_indices",
-    "index_matrix",
-    "paired_resample",
+    "replicate_blocks",
     "replicate_stats",
     "bootstrap_se",
     "diff_sample",
@@ -53,28 +53,28 @@ _MASK64 = (1 << 64) - 1
 MIN_N_MUE = 30
 MIN_N_QUANTILE = 60
 
+# Replicate blocks hold at most about this many index cells (8 MB), so
+# memory stays bounded as B * N grows.
+BLOCK_CELLS = 1 << 20
+
 
 @dataclass(frozen=True)
 class BootstrapPlan:
     """Replicate count, seed and resample size for one bootstrap run.
 
     `n_prime` enables N'-out-of-N subsampling (N' < N widens rank
-    dispersion estimates); the default None means N-out-of-N.  `workers`
-    is an execution hint only: results never depend on it.
+    dispersion estimates); the default None means N-out-of-N.
     """
 
     B: int = 1000
     seed: int = 0
     n_prime: int | None = None
-    workers: int = 1
 
     def __post_init__(self):
         if self.B < 100:
             raise ValueError(f"need at least 100 replicates, got {self.B}")
         if self.n_prime is not None and self.n_prime < 2:
             raise ValueError(f"n_prime must be >= 2, got {self.n_prime}")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
     def resample_size(self, n):
         if self.n_prime is None:
@@ -96,44 +96,21 @@ def resample_indices(plan, replicate_index, n):
     return rng.integers(0, n, size=plan.resample_size(n))
 
 
-def index_matrix(plan, n):
-    """All B replicate index draws as a (B, n') matrix.
+def replicate_blocks(plan, n):
+    """Yield the B replicate index draws as (lo, idx) blocks, in order.
 
-    Row j is exactly `resample_indices(plan, j, n)`; with workers > 1 the
-    rows are filled by a thread pool in chunks, which cannot change them.
+    Row r of the (b, n') array idx is exactly
+    `resample_indices(plan, lo + r, n)`.  A block has at least one row and
+    otherwise at most BLOCK_CELLS // n of them, so a block's count matrix
+    holds at most about BLOCK_CELLS cells.
     """
     n_prime = plan.resample_size(n)
-    idx = np.empty((plan.B, n_prime), dtype=np.intp)
-
-    def fill(lo, hi):
-        for j in range(lo, hi):
-            idx[j] = resample_indices(plan, j, n)
-
-    if plan.workers == 1:
-        fill(0, plan.B)
-    else:
-        step = -(-plan.B // plan.workers)
-        with ThreadPoolExecutor(max_workers=plan.workers) as pool:
-            jobs = [pool.submit(fill, lo, min(lo + step, plan.B)) for lo in range(0, plan.B, step)]
-            for job in jobs:
-                job.result()
-    return idx
-
-
-def paired_resample(matrix, plan, replicate_index):
-    """One paired resample of an ErrorMatrix: same rows for all columns."""
-    idx = resample_indices(plan, replicate_index, matrix.n_systems)
-    return ErrorMatrix(
-        errors=matrix.errors[idx],
-        method_names=list(matrix.method_names),
-        error_uncertainty=None
-        if matrix.error_uncertainty is None
-        else matrix.error_uncertainty[idx],
-        per_method_uncertainty=None
-        if matrix.per_method_uncertainty is None
-        else matrix.per_method_uncertainty[idx],
-        system_ids=None if matrix.system_ids is None else [matrix.system_ids[i] for i in idx],
-    )
+    rows = max(1, BLOCK_CELLS // max(n, 1))
+    for lo in range(0, plan.B, rows):
+        idx = np.empty((min(rows, plan.B - lo), n_prime), dtype=np.intp)
+        for r in range(idx.shape[0]):
+            idx[r] = resample_indices(plan, lo + r, n)
+        yield lo, idx
 
 
 def replicate_stats(columns, kind, plan):
@@ -145,11 +122,8 @@ def replicate_stats(columns, kind, plan):
     cols = np.asarray(columns, dtype=float)
     if cols.ndim == 1:
         cols = cols[:, None]
-    idx = index_matrix(plan, cols.shape[0])
-    out = np.empty((plan.B, cols.shape[1]))
-    for k in range(cols.shape[1]):
-        out[:, k] = evaluate_rows(kind, cols[:, k][idx])
-    return out
+    blocks = (idx for _, idx in replicate_blocks(plan, cols.shape[0]))
+    return evaluate_resampled(kind, cols, blocks)
 
 
 def bootstrap_se(errors, kind, plan):

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import ndtr
 
-from .estimators import StatKind, evaluate_rows
+from .estimators import StatKind, evaluate_resampled, evaluate_rows
 from .correlation import pearson
 from .inference import generalized_p
 
@@ -291,9 +291,9 @@ def corr_transfer_study(config):
 
 def _boot_diff_block(e1, e2, kind, B, rng):
     """Paired-bootstrap difference sample drawn as one index block."""
-    n = e1.shape[0]
-    idx = rng.integers(0, n, size=(B, n))
-    return evaluate_rows(kind, e1[idx]) - evaluate_rows(kind, e2[idx])
+    idx = rng.integers(0, e1.shape[0], size=(B, e1.shape[0]))
+    stats = evaluate_resampled(kind, np.column_stack([e1, e2]), [idx])
+    return stats[:, 0] - stats[:, 1]
 
 
 def type1_study(config):
@@ -366,7 +366,7 @@ def hd_convergence_study(config, modes=("A", "B"), base_n=500):
             idx = rng.integers(0, n, size=(config.reps, n))
             sub = base[:n]
             for kind, name in ((hd, "hd"), (q7, "type7")):
-                est = evaluate_rows(kind, sub[idx])
+                est = evaluate_resampled(kind, sub[:, None], [idx])[:, 0]
                 summary = np.percentile(est, [100 * p for p in _SUMMARY_QS])
                 rows.append(("B", n, name, *[float(v) for v in summary], int(np.unique(est).size)))
     return StudyResult(

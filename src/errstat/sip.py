@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import inference
+from .estimators import resample_counts, weighted_sums
 
 __all__ = [
     "SipReport",
@@ -201,12 +202,6 @@ class DeltaEcdfReport:
             ), float(self.band_hi[i])
 
 
-def _conditional_row_means(matrix, mask):
-    counts = mask.sum(axis=1)
-    sums = np.where(mask, matrix, 0.0).sum(axis=1)
-    return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-
-
 def _percentile_ci(values):
     vals = np.asarray(values, dtype=float)
     vals = vals[~np.isnan(vals)]
@@ -231,22 +226,40 @@ def delta_ecdf(e1, e2, plan, labels=("M1", "M2"), system_ids=None, uncertainty_b
     order = np.argsort(deltas, kind="stable")
     sorted_deltas = deltas[order]
     # Height of the ECDF at each sorted point; ties share their maximum.
-    ecdf = np.searchsorted(sorted_deltas, sorted_deltas, side="right") / n
+    ends = np.searchsorted(sorted_deltas, sorted_deltas, side="right")
+    ecdf = ends / n
 
-    idx = inference.index_matrix(plan, n)
-    boot = deltas[idx]  # (B, n') resampled delta rows
-    band = np.empty((plan.B, n))
-    boot_sorted = np.sort(boot, axis=1)
-    for b in range(plan.B):
-        band[b] = np.searchsorted(boot_sorted[b], sorted_deltas, side="right") / boot.shape[1]
-    band_lo, band_hi = np.percentile(band, [2.5, 97.5], axis=0)
+    # Every replicate is a count row in sorted-delta order.  Its running
+    # total read at a tie group's end is how many resampled deltas lie at
+    # or below that value; its contraction with these terms gives the
+    # number and sum of strict gains and losses and the sum of all deltas.
+    position = np.empty(n, dtype=np.intp)
+    position[order] = np.arange(n)
+    gain, loss = sorted_deltas < 0, sorted_deltas > 0
+    terms = np.array(
+        [gain, np.where(gain, sorted_deltas, 0.0), loss, np.where(loss, sorted_deltas, 0.0), sorted_deltas]
+    )
+    n_prime = plan.resample_size(n)
+    below = np.empty((plan.B, n), dtype=np.min_scalar_type(n_prime))
+    sums = np.empty((plan.B, terms.shape[0]))
+    for lo, idx in inference.replicate_blocks(plan, n):
+        counts = resample_counts(position[idx], n)
+        below[lo : lo + idx.shape[0]] = np.cumsum(counts, axis=1)[:, ends - 1]
+        sums[lo : lo + idx.shape[0]] = weighted_sums(counts, terms)
+    band_lo, band_hi = np.empty(n), np.empty(n)
+    step = max(1, inference.BLOCK_CELLS // plan.B)  # column slices keep percentile's float copies small
+    for c in range(0, n, step):
+        band_lo[c : c + step], band_hi[c : c + step] = np.percentile(
+            below[:, c : c + step] / n_prime, [2.5, 97.5], axis=0
+        )
 
     sip_val = float((deltas < 0).mean())
-    sip_boot = (boot < 0).mean(axis=1)
+    n_gain, gain_sum, n_loss, loss_sum, delta_sum = sums.T
+    sip_boot = n_gain / n_prime
     # Replicates with no strict gain (or loss) leave MG (or ML) undefined: NaN.
-    mg_boot = _conditional_row_means(boot, boot < 0)
-    ml_boot = _conditional_row_means(boot, boot > 0)
-    dmue_boot = boot.mean(axis=1)
+    mg_boot = np.where(n_gain > 0, gain_sum / np.maximum(n_gain, 1), np.nan)
+    ml_boot = np.where(n_loss > 0, loss_sum / np.maximum(n_loss, 1), np.nan)
+    dmue_boot = delta_sum / n_prime
 
     mg_val = _mean_gain(deltas)
     ml_neg = _mean_gain(-deltas)

@@ -90,6 +90,21 @@ def test_unreadable_file_exits_2(tmp_path, capsys):
     assert run(["stats", str(tmp_path / "missing.csv")]) == 2
 
 
+def test_path_with_comma_is_read_as_a_file(tmp_path, capsys):
+    folder = tmp_path / "d,x"
+    folder.mkdir()
+    (folder / "t.csv").write_text(CSV)
+    assert run(["stats", str(folder / "t.csv"), "--boot", "100"]) == 0
+    assert "M3" in capsys.readouterr().out
+
+
+def test_small_n_warning_is_one_plain_stderr_line(data, capsys):
+    assert run(["compare", data, "--pair", "M1,M2", "--boot", "100"]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: N=10 is small for MUE comparisons (N>=30 recommended); p-values may be unreliable"
+    ]
+
+
 def test_sip_matrix_and_svg(data, tmp_path):
     svg_path = tmp_path / "sip.svg"
     assert run(["sip", data, "--svg", str(svg_path), "--boot", "200"]) == 0

@@ -16,13 +16,12 @@ from errstat.inference import (
     compare_pair,
     diff_sample,
     generalized_p,
-    index_matrix,
     p_inv,
     p_t_value,
     p_unc_value,
-    paired_resample,
     rank_probability_matrix,
     rank_summary,
+    replicate_blocks,
     replicate_stats,
     resample_indices,
 )
@@ -44,8 +43,6 @@ def test_plan_validation():
         BootstrapPlan(B=99)
     with pytest.raises(ValueError):
         BootstrapPlan(n_prime=1)
-    with pytest.raises(ValueError):
-        BootstrapPlan(workers=0)
     plan = BootstrapPlan(B=100, n_prime=5)
     with pytest.raises(ValueError):
         plan.resample_size(4)
@@ -65,46 +62,46 @@ def test_replicate_streams_deterministic_and_distinct():
     assert not np.array_equal(a, d)
 
 
-def test_index_matrix_rows_are_replicate_draws():
+def _drawn(plan, n):
+    return np.concatenate([idx for _, idx in replicate_blocks(plan, n)])
+
+
+def test_replicate_blocks_rows_are_replicate_draws(monkeypatch):
+    monkeypatch.setattr(inf, "BLOCK_CELLS", 33 * 50)
     plan = BootstrapPlan(B=120, seed=9)
-    idx = index_matrix(plan, 33)
-    assert idx.shape == (120, 33)
+    blocks = list(replicate_blocks(plan, 33))
+    assert [(lo, idx.shape) for lo, idx in blocks] == [(0, (50, 33)), (50, (50, 33)), (100, (20, 33))]
+    idx = np.concatenate([idx for _, idx in blocks])
     for j in (0, 57, 119):
         np.testing.assert_array_equal(idx[j], resample_indices(plan, j, 33))
 
 
-def test_index_matrix_worker_count_is_invisible():
-    base = index_matrix(BootstrapPlan(B=500, seed=4), 20)
-    for workers in (2, 3, 8):
-        np.testing.assert_array_equal(
-            base, index_matrix(BootstrapPlan(B=500, seed=4, workers=workers), 20)
-        )
+def test_replicate_blocks_block_size_is_invisible(monkeypatch):
+    plan = BootstrapPlan(B=500, seed=4)
+    base = _drawn(plan, 20)
+    for cells in (1, 20, 7 * 20, 499 * 20, 10**9):
+        monkeypatch.setattr(inf, "BLOCK_CELLS", cells)
+        assert max(len(idx) for _, idx in replicate_blocks(plan, 20)) == min(500, max(1, cells // 20))
+        np.testing.assert_array_equal(base, _drawn(plan, 20))
 
 
 def test_paired_resample_shares_indices_across_columns():
-    e1 = np.arange(10.0)
-    matrix = _em([e1, e1 + 100.0])
-    out = paired_resample(matrix, BootstrapPlan(seed=5), 3)
-    np.testing.assert_array_equal(out.errors[:, 1] - out.errors[:, 0], np.full(10, 100.0))
-    again = paired_resample(matrix, BootstrapPlan(seed=5), 3)
-    np.testing.assert_array_equal(out.errors, again.errors)
+    e = np.arange(8.0)  # sums of integers over 8 rows are exact, so shifts and signs survive exactly
+    cols = np.column_stack([e, e + 100.0, -e])
+    plan = BootstrapPlan(B=200, seed=5)
+    mse = replicate_stats(cols, MSE, plan)
+    assert np.unique(mse[:, 0]).size > 10
+    np.testing.assert_array_equal(mse[:, 1] - mse[:, 0], np.full(200, 100.0))
+    np.testing.assert_array_equal(mse[:, 2], -mse[:, 0])
+    mue = replicate_stats(cols, MUE, plan)
+    np.testing.assert_array_equal(mue[:, 2], mue[:, 0])
 
 
 def test_paired_resample_single_row():
-    matrix = ErrorMatrix(errors=np.array([[1.5, -2.0]]), method_names=["A", "B"])
-    out = paired_resample(matrix, BootstrapPlan(seed=1), 0)
-    np.testing.assert_array_equal(out.errors, [[1.5, -2.0]])
-
-
-def test_paired_resample_carries_uncertainty_rows():
-    matrix = ErrorMatrix(
-        errors=np.arange(8.0).reshape(4, 2),
-        method_names=["A", "B"],
-        error_uncertainty=np.array([1.0, 2.0, 3.0, 4.0]),
-        system_ids=["a", "b", "c", "d"],
-    )
-    out = paired_resample(matrix, BootstrapPlan(seed=2), 0)
-    np.testing.assert_array_equal(out.error_uncertainty, 1.0 + out.errors[:, 0] / 2.0)
+    plan = BootstrapPlan(B=100, seed=1)
+    np.testing.assert_array_equal(_drawn(plan, 1), np.zeros((100, 1)))
+    stats = replicate_stats(np.array([[1.5, -2.0]]), MSE, plan)
+    np.testing.assert_array_equal(stats, np.tile([1.5, -2.0], (100, 1)))
 
 
 def test_one_index_draw_shared_by_all_columns(monkeypatch):
@@ -281,17 +278,17 @@ def test_compare_pair_dominated():
     assert not comp.degenerate
 
 
-def test_compare_pair_deterministic_across_runs_and_workers():
+def test_compare_pair_deterministic_across_runs_and_blocks(monkeypatch):
     rng = np.random.default_rng(29)
     matrix = _em([rng.normal(size=50), rng.normal(size=50)])
-    reports = [
-        json.dumps(
-            compare_pair(matrix, 0, 1, MUE, BootstrapPlan(B=400, seed=3, workers=w), ).to_dict(),
-            sort_keys=True,
-        )
-        for w in (1, 1, 4)
-    ]
-    assert reports[0] == reports[1] == reports[2]
+
+    def report():
+        return json.dumps(compare_pair(matrix, 0, 1, MUE, BootstrapPlan(B=400, seed=3)).to_dict(), sort_keys=True)
+
+    first = report()
+    assert report() == first
+    monkeypatch.setattr(inf, "BLOCK_CELLS", 50 * 7)
+    assert report() == first
 
 
 def test_compare_pair_rejects_self_comparison():
@@ -393,4 +390,4 @@ def test_rank_matrix_nprime_subsampling():
     plan = BootstrapPlan(B=200, seed=9, n_prime=13)
     rm = rank_probability_matrix(_em(cols), MUE, plan)
     np.testing.assert_allclose(rm.p.sum(axis=1), np.ones(2), atol=1e-12)
-    assert index_matrix(plan, 40).shape == (200, 13)
+    assert _drawn(plan, 40).shape == (200, 13)
