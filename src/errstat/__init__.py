@@ -13,20 +13,14 @@ from .dataset import (
     BenchmarkTable,
     ErrorMatrix,
     ValidationError,
-    combine_uncertainty,
     errors_from_table,
     load_table,
 )
 from .estimators import (
     StatKind,
-    WeightedMeanResult,
-    chi2_weighted,
-    cochran_rescale,
     evaluate,
-    mean_standard_error,
     quantile_hd,
     quantile_type7,
-    weighted_mean,
 )
 from .correlation import CorrMatrix, correlation_matrix, pearson, spearman
 from .sip import (
@@ -36,7 +30,6 @@ from .sip import (
     delta_ecdf,
     mue_decomposition,
     sip_matrix,
-    sip_pair,
 )
 from .inference import (
     BootstrapPlan,
@@ -52,7 +45,6 @@ from .inference import (
     p_t_value,
     p_unc_value,
     rank_probability_matrix,
-    rank_summary,
 )
 from .simulation import (
     GHParams,

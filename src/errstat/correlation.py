@@ -9,24 +9,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .estimators import weighted_sums
+
 __all__ = ["CorrMatrix", "pearson", "spearman", "midranks", "correlation_matrix"]
 
 
 def pearson(x, y):
-    """Product-moment correlation of two equal-length vectors (N >= 3)."""
+    """Product-moment correlation of two equal-length vectors (N >= 3).
+
+    The sums go through `weighted_sums`, never BLAS, so the result does
+    not depend on the BLAS thread count.
+    """
     xv = np.asarray(x, dtype=float)
     yv = np.asarray(y, dtype=float)
     if xv.shape != yv.shape or xv.ndim != 1:
         raise ValueError("inputs must be 1-d and the same length")
     if xv.size < 3:
         raise ValueError("need at least 3 points")
-    dx = xv - xv.mean()
-    dy = yv - yv.mean()
-    sx = float(dx @ dx)
-    sy = float(dy @ dy)
+    d = np.stack([xv - xv.mean(), yv - yv.mean()])
+    (sx, sxy), (_, sy) = weighted_sums(d, d)
     if sx == 0.0 or sy == 0.0:
         raise ValueError("undefined correlation: constant input")
-    r = float(dx @ dy) / np.sqrt(sx * sy)
+    r = float(sxy) / np.sqrt(sx * sy)
     return float(min(1.0, max(-1.0, r)))
 
 

@@ -21,7 +21,6 @@ __all__ = [
     "ErrorMatrix",
     "load_table",
     "errors_from_table",
-    "combine_uncertainty",
 ]
 
 # Warn when the spread of error uncertainties within a column exceeds this
@@ -88,19 +87,10 @@ class BenchmarkTable:
 
 @dataclass(frozen=True)
 class ErrorMatrix:
-    """Paired signed errors: row i of every column refers to system i.
-
-    `error_uncertainty` is the per-row u(e_i) when only the reference is
-    uncertain (the common, deterministic-method case).  When individual
-    method predictions carry uncertainties as well, the combined values
-    differ per method and live in `per_method_uncertainty` (N x K);
-    `uncertainty_for` hides the distinction.
-    """
+    """Paired signed errors: row i of every column refers to system i."""
 
     errors: np.ndarray
     method_names: list
-    error_uncertainty: np.ndarray | None = None
-    per_method_uncertainty: np.ndarray | None = None
     system_ids: list | None = None
 
     def __post_init__(self):
@@ -108,10 +98,6 @@ class ErrorMatrix:
             raise ValidationError("errors must be a 2-d array")
         if self.errors.shape[1] != len(self.method_names):
             raise ValidationError("column count does not match method names")
-        if self.error_uncertainty is not None and np.any(self.error_uncertainty < 0):
-            raise ValidationError("negative error uncertainty")
-        if self.per_method_uncertainty is not None and np.any(self.per_method_uncertainty < 0):
-            raise ValidationError("negative error uncertainty")
 
     @property
     def n_systems(self):
@@ -125,12 +111,6 @@ class ErrorMatrix:
         """Error vector for a method, by name or index."""
         return self.errors[:, self.index_of(method)]
 
-    def uncertainty_for(self, method):
-        """Combined u(e_i) vector for a method, or None if nothing is uncertain."""
-        if self.per_method_uncertainty is not None:
-            return self.per_method_uncertainty[:, self.index_of(method)]
-        return self.error_uncertainty
-
     def index_of(self, method):
         if isinstance(method, str):
             try:
@@ -138,15 +118,6 @@ class ErrorMatrix:
             except ValueError:
                 raise KeyError(f"unknown method {method!r}") from None
         return int(method)
-
-
-def combine_uncertainty(u_r, u_c):
-    """Combine independent reference and prediction uncertainties in quadrature."""
-    if u_r < 0 or u_c < 0:
-        raise ValidationError(f"negative uncertainty: ({u_r}, {u_c})")
-    if not (math.isfinite(u_r) and math.isfinite(u_c)):
-        raise ValidationError("uncertainties must be finite")
-    return math.hypot(u_r, u_c)
 
 
 def _parse_header(fields):
@@ -166,7 +137,7 @@ def _parse_header(fields):
     return names
 
 
-def load_table(source, fmt="csv"):
+def load_table(source):
     """Parse and validate a benchmark table.
 
     `source` may be a path, a text/binary file object, or a CSV string.
@@ -175,8 +146,6 @@ def load_table(source, fmt="csv"):
     with a warning (paired bootstrap needs rectangular data); non-numeric
     or non-finite cells abort the parse.  A leading UTF-8 BOM is skipped.
     """
-    if fmt != "csv":
-        raise ValidationError(f"unsupported format {fmt!r}")
     if isinstance(source, (str, bytes)) and not _looks_like_inline_csv(source):
         with open(source, "r", encoding="utf-8-sig") as fh:
             return _load_csv(fh)
@@ -241,36 +210,28 @@ def _load_csv(fh):
 def errors_from_table(table):
     """Materialize the paired error matrix e_i(M) = r_i - c_i(M).
 
-    Uncertainties on the errors are propagated in quadrature from the
-    reference and (when given) the per-method prediction uncertainties.
+    No statistic uses the uncertainty columns, but a column whose error
+    uncertainties are extremely spread is flagged with a warning.
     """
     names = table.method_names
     errors = np.column_stack([table.reference - table.methods[m] for m in names])
+    _screen_uncertainty_spread(table)
+    return ErrorMatrix(errors=errors, method_names=names, system_ids=list(table.system_ids))
 
+
+def _screen_uncertainty_spread(table):
+    """Warn per column where max/median of u(e_i) exceeds EXTREME_UNCERTAINTY_RATIO.
+
+    u(e_i) combines u(r_i) and u(c_i) in quadrature; with only uRef given
+    it is the same for every method.
+    """
     u_ref = table.ref_uncertainty
-    per_method = None
     if table.calc_uncertainty:
-        ur = u_ref if u_ref is not None else np.zeros(table.n_systems)
-        per_method = np.column_stack(
-            [np.hypot(ur, table.calc_uncertainty.get(m, np.zeros(table.n_systems))) for m in names]
-        )
-
-    em = ErrorMatrix(
-        errors=errors,
-        method_names=names,
-        error_uncertainty=None if u_ref is None else np.asarray(u_ref, dtype=float),
-        per_method_uncertainty=per_method,
-        system_ids=list(table.system_ids),
-    )
-    _screen_uncertainty_spread(em)
-    return em
-
-
-def _screen_uncertainty_spread(em):
-    if em.per_method_uncertainty is not None:
-        checks = [(name, em.uncertainty_for(j)) for j, name in enumerate(em.method_names)]
-    elif em.error_uncertainty is not None:
-        checks = [("all methods", em.error_uncertainty)]
+        zero = np.zeros(table.n_systems)
+        u_r = zero if u_ref is None else u_ref
+        checks = [(m, np.hypot(u_r, table.calc_uncertainty.get(m, zero))) for m in table.method_names]
+    elif u_ref is not None:
+        checks = [("all methods", u_ref)]
     else:
         return
     for name, u in checks:

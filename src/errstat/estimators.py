@@ -1,10 +1,10 @@
 """Scalar statistics of a single error set.
 
 Covers the four benchmark scores (MSE, MUE, RMSD and quantiles of the
-absolute errors) plus the weighted-mean machinery used when individual
-errors carry uncertainties.  Two quantile estimators are provided: the
-Harrell-Davis estimator (a smooth combination of all order statistics,
-the default) and the classic interpolation estimator known as Q-hat-7.
+absolute errors) plus a chi-squared check of stated error uncertainties.
+Two quantile estimators are provided: the Harrell-Davis estimator (a
+smooth combination of all order statistics, the default) and the classic
+interpolation estimator known as Q-hat-7.
 
 RMSD here is the sample standard deviation of the errors about their own
 mean (denominator N-1), not the root mean squared error about zero.
@@ -14,13 +14,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import chdtri
-
-from .special import betainc_reg
+from scipy.special import betainc, chdtri
 
 __all__ = [
     "StatKind",
-    "WeightedMeanResult",
     "evaluate",
     "evaluate_rows",
     "evaluate_resampled",
@@ -28,10 +25,7 @@ __all__ = [
     "weighted_sums",
     "quantile_hd",
     "quantile_type7",
-    "mean_standard_error",
-    "weighted_mean",
     "chi2_weighted",
-    "cochran_rescale",
 ]
 
 _KINDS = ("mse", "mue", "rmsd", "q")
@@ -246,14 +240,7 @@ def _hd_weights(n, q):
     sd = np.sqrt(a * b / ((a + b) ** 2 * (a + b + 1.0)))
     lo = max(0, int(np.floor((mean - _HD_WINDOW_SD * sd) * n)))
     hi = min(n, int(np.ceil((mean + _HD_WINDOW_SD * sd) * n)))
-    grid = np.arange(lo, hi + 1, dtype=float) / n
-    cdf = betainc_reg(a, b, grid)
-    if lo == 0:
-        cdf[0] = 0.0
-    if hi == n:
-        cdf[-1] = 1.0
-    w = np.diff(cdf)
-    return lo, w
+    return lo, np.diff(betainc(a, b, np.arange(lo, hi + 1, dtype=float) / n))
 
 
 def quantile_hd(x, q):
@@ -265,7 +252,7 @@ def quantile_hd(x, q):
         raise ValueError(f"quantile level must be in (0, 1), got {q}")
     lo, w = _hd_weights(x.size, q)
     xs = np.sort(x)
-    return float(w @ xs[lo : lo + w.size])
+    return float(weighted_sums(xs[None, lo : lo + w.size], w[None, :])[0, 0])
 
 
 def quantile_type7(x, q):
@@ -281,68 +268,6 @@ def quantile_type7(x, q):
     if j >= x.size - 1:
         return float(xs[-1])
     return float(xs[j] + (h - j) * (xs[j + 1] - xs[j]))
-
-
-def mean_standard_error(errors, small_n_correction=False):
-    """Standard error of the mean, s_e/sqrt(N).
-
-    With `small_n_correction` the result is inflated by
-    sqrt((N-1)/(N-3)) to account for the uncertainty on s_e itself;
-    the correction needs N >= 4 and is below 3% from N = 30 on.
-    """
-    e = np.asarray(errors, dtype=float)
-    n = e.size
-    if n < 2:
-        raise ValueError("need at least 2 entries")
-    se = float(e.std(ddof=1) / np.sqrt(n))
-    if small_n_correction:
-        if n <= 3:
-            raise ValueError("small-N correction needs N >= 4")
-        se *= np.sqrt((n - 1.0) / (n - 3.0))
-    return se
-
-
-@dataclass(frozen=True)
-class WeightedMeanResult:
-    """Weighted mean of an error set with its uncertainty budget.
-
-    sigma2_model is the excess (model-error) variance from the Cochran
-    decomposition; it is 0 for the plain inverse-variance mean.
-    `consistent` says whether chi2w falls in the central 95% interval of
-    chi-squared with N-1 degrees of freedom.
-    """
-
-    mean: float
-    uncertainty: float
-    weights: np.ndarray
-    sigma2_model: float
-    chi2w: float
-    chi2_dof: int
-    consistent: bool
-    converged: bool = True
-
-
-def weighted_mean(errors, u):
-    """Inverse-variance weighted mean with w_i proportional to u(e_i)^-2."""
-    e = np.asarray(errors, dtype=float)
-    uu = np.asarray(u, dtype=float)
-    if e.shape != uu.shape or e.ndim != 1:
-        raise ValueError("errors and uncertainties must be 1-d and the same length")
-    if np.any(uu <= 0):
-        raise ValueError("all uncertainties must be > 0")
-    inv = uu**-2.0
-    w = inv / inv.sum()
-    mean = float(w @ e)
-    chi2w, consistent = chi2_weighted(e, uu, mean)
-    return WeightedMeanResult(
-        mean=mean,
-        uncertainty=float(inv.sum() ** -0.5),
-        weights=w,
-        sigma2_model=0.0,
-        chi2w=chi2w,
-        chi2_dof=e.size - 1,
-        consistent=consistent,
-    )
 
 
 def chi2_weighted(errors, u, mean):
@@ -362,73 +287,3 @@ def chi2_weighted(errors, u, mean):
     chi2 = float((((e - mean) / uu) ** 2).sum())
     lo, hi = chdtri(e.size - 1, [0.975, 0.025])  # upper-tail probabilities
     return chi2, bool(lo <= chi2 <= hi)
-
-
-def _inverse_variance_weights(denom):
-    """Weights proportional to 1/denom; zero entries mean infinite precision."""
-    zero = denom == 0.0
-    if zero.all():
-        return np.full(denom.size, 1.0 / denom.size)
-    if zero.any():
-        return zero / zero.sum()
-    inv = 1.0 / denom
-    return inv / inv.sum()
-
-
-def cochran_rescale(errors, u, max_iter=100, tol=1e-8):
-    """Weighted mean with Cochran's ANOVA variance decomposition.
-
-    The total variance of the errors is split as var(e) = sigma^2 + mean
-    u(e)^2, where sigma^2 is the model-error variance (clipped at 0), and
-    the weights are rebuilt from the combined variances sigma^2 + u(e_i)^2.
-    sigma depends on the mean and vice versa, so the pair is iterated to a
-    fixed point; if `max_iter` is hit first the last iterate is returned
-    with `converged=False`.
-    """
-    e = np.asarray(errors, dtype=float)
-    uu = np.asarray(u, dtype=float)
-    if e.shape != uu.shape or e.ndim != 1:
-        raise ValueError("errors and uncertainties must be 1-d and the same length")
-    n = e.size
-    if n < 3:
-        raise ValueError("need at least 3 entries")
-    if np.any(uu < 0):
-        raise ValueError("uncertainties must be >= 0")
-
-    mean_u2 = float((uu**2).mean())
-    s_e = float(e.std(ddof=1))
-    scale = s_e if s_e > 0 else 1.0
-    mean = float(e.mean())
-    sigma2 = 0.0
-    converged = False
-    for _ in range(max_iter):
-        var = float(((e - mean) ** 2).sum() / (n - 1))
-        sigma2 = max(0.0, var - mean_u2)
-        w = _inverse_variance_weights(sigma2 + uu**2)
-        new_mean = float(w @ e)
-        if abs(new_mean - mean) <= tol * scale:
-            mean = new_mean
-            converged = True
-            break
-        mean = new_mean
-
-    denom = sigma2 + uu**2
-    w = _inverse_variance_weights(denom)
-    positive = denom > 0.0
-    if positive.any():
-        chi2w = float((((e[positive] - mean) ** 2) / denom[positive]).sum())
-        lo, hi = chdtri(n - 1, [0.975, 0.025])
-        consistent = bool(lo <= chi2w <= hi)
-    else:
-        chi2w, consistent = 0.0, False
-    uncertainty = float((1.0 / denom).sum() ** -0.5) if positive.all() else 0.0
-    return WeightedMeanResult(
-        mean=mean,
-        uncertainty=uncertainty,
-        weights=w,
-        sigma2_model=sigma2,
-        chi2w=chi2w,
-        chi2_dof=n - 1,
-        consistent=consistent,
-        converged=converged,
-    )

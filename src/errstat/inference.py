@@ -40,7 +40,6 @@ __all__ = [
     "p_inv",
     "compare_pair",
     "rank_probability_matrix",
-    "rank_summary",
 ]
 
 LOWER_IS_RANK1 = "lower"
@@ -331,7 +330,7 @@ class RankMatrix:
     labels: list
     stat: StatKind
     orientation: str
-    summary: list | None = None
+    summary: list
 
     def to_dict(self):
         return {
@@ -377,24 +376,21 @@ def rank_probability_matrix(matrix, kind, plan, orientation=LOWER_IS_RANK1):
     )
 
 
-def rank_summary(rank_matrix, mass=0.90):
-    """Mode and shortest >= 90% contiguous rank interval for each method."""
-    return _summarize_ranks(rank_matrix.p, rank_matrix.labels, mass)
-
-
 def _summarize_ranks(p, labels, mass=0.90):
+    """Mode and shortest contiguous rank interval holding >= `mass`, per method.
+
+    Among intervals of equal length the one of lowest ranks wins.  Window
+    sums come from prefix sums: c[s + length] - c[s] for every start s.
+    """
     entries = []
     k = p.shape[1]
-    for j, label in enumerate(labels):
-        row = p[j]
+    for label, row in zip(labels, p):
         mode = int(np.argmax(row))
-        interval = None
+        c = np.concatenate(([0.0], np.cumsum(row)))
         for length in range(1, k + 1):
-            for start in range(0, k - length + 1):
-                if row[start : start + length].sum() >= mass - 1e-12:
-                    interval = (start + 1, start + length)
-                    break
-            if interval:
+            starts = np.flatnonzero(c[length:] - c[:-length] >= mass - 1e-12)
+            if starts.size:
+                interval = (int(starts[0]) + 1, int(starts[0]) + length)
                 break
         entries.append(
             RankEntry(

@@ -135,18 +135,15 @@ def gh_sample(params, size, rng):
     return _standardize(rng.standard_normal(size), params)
 
 
-def correlated_pairs(rho, params1, params2, n, rng):
-    """Two error sets of size n with Gaussian-copula correlation `rho`.
+def correlated_pairs(rho, params1, params2, shape, rng):
+    """Two error sets with Gaussian-copula correlation `rho`.
 
-    The prescribed correlation applies to the underlying normal pair;
-    the marginal transforms perturb the realized product-moment
-    correlation slightly for non-normal shapes.
+    `shape` is n for one pair of size-n sets, or (reps, n) for `reps`
+    pairs at once, row r of each array forming one pair.  The prescribed
+    correlation applies to the underlying normal pair; the marginal
+    transforms perturb the realized product-moment correlation slightly
+    for non-normal shapes.
     """
-    e1, e2 = _correlated_block(rho, params1, params2, n, rng)
-    return e1, e2
-
-
-def _correlated_block(rho, params1, params2, shape, rng):
     if not -1.0 <= rho <= 1.0:
         raise ValueError(f"correlation must be in [-1, 1], got {rho}")
     z1 = rng.standard_normal(shape)
@@ -274,7 +271,7 @@ def corr_transfer_study(config):
         for ni, n in enumerate(config.n_values):
             for ri, rho in enumerate(config.rho_values):
                 rng = _cell_rng(config.seed, 0, si, ni, ri)
-                e1, e2 = _correlated_block(rho, scen, scen, (config.reps, n), rng)
+                e1, e2 = correlated_pairs(rho, scen, scen, (config.reps, n), rng)
                 for kind in _TRANSFER_STATS:
                     s1 = evaluate_rows(kind, e1)
                     s2 = evaluate_rows(kind, e2)
@@ -314,7 +311,7 @@ def type1_study(config):
                 rejections = 0
                 for rep in range(config.reps):
                     rng = _cell_rng(config.seed, 1, si, ni, ri, rep)
-                    e1, e2 = _correlated_block(rho, scen, scen, n, rng)
+                    e1, e2 = correlated_pairs(rho, scen, scen, n, rng)
                     d = _boot_diff_block(e1, e2, kind, config.B, rng)
                     if generalized_p(d) < 0.05:
                         rejections += 1

@@ -24,7 +24,6 @@ __all__ = [
     "DeltaEcdfReport",
     "ScalarWithCI",
     "abs_error_deltas",
-    "sip_pair",
     "sip_matrix",
     "mue_decomposition",
     "delta_ecdf",
@@ -38,12 +37,6 @@ def abs_error_deltas(e1, e2):
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("paired error sets must be 1-d and the same length")
     return np.abs(a) - np.abs(b)
-
-
-def sip_pair(e1, e2):
-    """(SIP, tie count) for one ordered method pair: strict improvements only."""
-    deltas = abs_error_deltas(e1, e2)
-    return float((deltas < 0).mean()), int((deltas == 0).sum())
 
 
 def _mean_gain(deltas):
@@ -219,7 +212,9 @@ def delta_ecdf(e1, e2, plan, labels=("M1", "M2"), system_ids=None, uncertainty_b
     difference).  Replicates where MG or ML is undefined (no strict gain
     or loss) are skipped in the corresponding interval.
     """
-    deltas = abs_error_deltas(e1, e2)
+    a = np.asarray(e1, dtype=float)
+    b = np.asarray(e2, dtype=float)
+    deltas = abs_error_deltas(a, b)
     n = deltas.size
     if n < 2:
         raise ValueError("need at least 2 systems")
@@ -264,7 +259,7 @@ def delta_ecdf(e1, e2, plan, labels=("M1", "M2"), system_ids=None, uncertainty_b
     mg_val = _mean_gain(deltas)
     ml_neg = _mean_gain(-deltas)
     ml_val = None if ml_neg is None else -ml_neg
-    dmue_val, _ = mue_decomposition(e1, e2)
+    dmue_val = float(np.abs(a).mean() - np.abs(b).mean())
     ordered_ids = None
     if system_ids is not None:
         ordered_ids = [system_ids[i] for i in order]

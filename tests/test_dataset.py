@@ -1,4 +1,6 @@
 import io
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from errstat.dataset import (
     ValidationError,
-    combine_uncertainty,
     errors_from_table,
     load_table,
 )
@@ -126,18 +127,37 @@ def test_errors_exactness_and_pairing_permutation():
     np.testing.assert_array_equal(em_p.errors, em.errors[perm])
 
 
+def _spread_warnings(text):
+    """Messages of the warnings errors_from_table emits for a CSV table."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        errors_from_table(load_table(text))
+    return [str(w.message) for w in caught]
+
+
+def _spread_ratio(message):
+    return float(re.search(r"max/median = ([0-9.]+)", message).group(1))
+
+
 def test_uncertainty_propagation():
-    table = load_table("System,Ref,uRef,M1,u:M1,M2\na,1,3,0.9,4,0.8\nb,2,3,2.1,4,1.9\n")
-    em = errors_from_table(table)
-    np.testing.assert_allclose(em.uncertainty_for("M1"), [5.0, 5.0])
-    np.testing.assert_allclose(em.uncertainty_for("M2"), [3.0, 3.0])
-    np.testing.assert_allclose(em.uncertainty_for(0), [5.0, 5.0])
+    # u(e) combines uRef and u:<M> in quadrature, per method: row 0 gives
+    # M1 hypot(3, 4) = 5 over a median of 0.4, while M2, with no u:M2
+    # column, sees uRef alone (3 / 0.4 = 7.5, below the warning ratio).
+    rows = ["System,Ref,uRef,M1,u:M1,M2", "s0,1,3,0.9,4,0.8"] + [f"s{i},1,0.4,0.9,0,0.8" for i in range(1, 10)]
+    assert _spread_warnings("\n".join(rows)) == [
+        "M1: extreme uncertainty spread (max/median = 12.5); "
+        "statistics on this column may be dominated by a few rows"
+    ]
 
 
 def test_uncertainty_absent_means_none():
-    em = errors_from_table(load_table(BASIC))
-    assert em.error_uncertainty is None
-    assert em.uncertainty_for("M1") is None
+    # Nothing to screen without uncertainty columns, and the columns,
+    # when present, never change the errors.
+    assert _spread_warnings(BASIC) == []
+    with_u = "System,Ref,uRef,M1,u:M1\na,1.0,0.1,0.9,0.2\nb,2.0,0.1,2.1,0.2\nc,3.0,0.1,3.0,0.2\n"
+    np.testing.assert_array_equal(
+        errors_from_table(load_table(with_u)).errors, errors_from_table(load_table(BASIC)).errors
+    )
 
 
 def test_extreme_uncertainty_spread_warns():
@@ -146,12 +166,22 @@ def test_extreme_uncertainty_spread_warns():
         errors_from_table(load_table("\n".join(rows)))
 
 
+def _one_row_spread(u_ref, u_calc, quiet=(1.0, 0.0)):
+    """Spread warnings when row 0 has (uRef, u:M1) and nine rows have `quiet`."""
+    rows = [f"s0,1.0,{u_ref!r},0.9,{u_calc!r}"] + [f"s{i},1.0,{quiet[0]!r},0.9,{quiet[1]!r}" for i in range(1, 10)]
+    return _spread_warnings("\n".join(["System,Ref,uRef,M1,u:M1", *rows]))
+
+
 def test_combine_uncertainty_examples():
-    assert combine_uncertainty(3.0, 4.0) == 5.0
-    assert combine_uncertainty(0.7, 0.0) == 0.7
-    assert combine_uncertainty(0.0, 0.0) == 0.0
+    # The quiet rows put the median at 0.01, so row 0's combined u sets the
+    # ratio: hypot(3, 4) = 5 and hypot(0.7, 0) = 0.7 warn, hypot(0, 0) = 0
+    # leaves the max at the median.
+    quiet = (0.01, 0.0)
+    assert [_spread_ratio(m) for m in _one_row_spread(3.0, 4.0, quiet)] == [500.0]
+    assert [_spread_ratio(m) for m in _one_row_spread(0.7, 0.0, quiet)] == [70.0]
+    assert _one_row_spread(0.0, 0.0, quiet) == []
     with pytest.raises(ValidationError):
-        combine_uncertainty(-1.0, 2.0)
+        _one_row_spread(-1.0, 2.0)
 
 
 @given(
@@ -159,5 +189,9 @@ def test_combine_uncertainty_examples():
     st.floats(min_value=0, max_value=1e12),
 )
 def test_combine_uncertainty_symmetric_and_dominating(a, b):
-    assert combine_uncertainty(a, b) == combine_uncertainty(b, a)
-    assert combine_uncertainty(a, b) >= max(a, b)
+    # The quiet rows put the median at 1, so row 0 alone sets the ratio.
+    both = _one_row_spread(a, b)
+    assert both == _one_row_spread(b, a, quiet=(0.0, 1.0))
+    for alone in (_one_row_spread(a, 0.0), _one_row_spread(0.0, b, quiet=(0.0, 1.0))):
+        if alone:
+            assert both and _spread_ratio(both[0]) >= _spread_ratio(alone[0])

@@ -20,7 +20,6 @@ from errstat.inference import (
     p_t_value,
     p_unc_value,
     rank_probability_matrix,
-    rank_summary,
     replicate_blocks,
     replicate_stats,
     resample_indices,
@@ -366,22 +365,49 @@ def test_rank_matrix_exhaustive_n2():
 
 
 def test_rank_summary_shapes():
-    rm = RankMatrix(
-        p=np.array([[0.5, 0.4, 0.1], [0.3, 0.3, 0.4], [0.2, 0.3, 0.5]]),
-        labels=["A", "B", "C"],
-        stat=MUE,
-        orientation="lower",
-        summary=None,
-    )
-    entries = rank_summary(rm)
+    p = np.array([[0.5, 0.4, 0.1], [0.3, 0.3, 0.4], [0.2, 0.3, 0.5]])
+    entries = inf._summarize_ranks(p, ["A", "B", "C"])
     assert entries[0].mode == 1
     assert entries[0].interval == (1, 2)
-
-    uniform = RankMatrix(
-        p=np.full((4, 4), 0.25), labels=list("ABCD"), stat=MUE, orientation="lower", summary=None
-    )
-    for entry in rank_summary(uniform):
+    for entry in inf._summarize_ranks(np.full((4, 4), 0.25), list("ABCD")):
         assert entry.interval == (1, 4)
+    rm = rank_probability_matrix(_em([np.arange(40.0), np.arange(40.0) + 100.0]), MUE, BootstrapPlan(B=100))
+    assert [(e.label, e.mode, e.mode_probability, e.interval) for e in rm.summary] == [
+        ("M1", 1, 1.0, (1, 1)),
+        ("M2", 2, 1.0, (2, 2)),
+    ]
+
+
+def _scan_interval(row, mass=0.90):
+    """The O(K^3) scan: shortest, then lowest, window of `row` holding >= mass."""
+    k = row.size
+    for length in range(1, k + 1):
+        for start in range(0, k - length + 1):
+            if row[start : start + length].sum() >= mass - 1e-12:
+                return (start + 1, start + length)
+    return None
+
+
+def test_rank_intervals_match_window_scan():
+    rng = np.random.default_rng(61)
+    for trial in range(600):
+        k = int(rng.integers(2, 31))
+        if trial % 2:
+            # Multiples of 1/1000, as rank counts over B = 1000 are, with
+            # 900 of them planted in one window: a sum of exactly 0.90 in
+            # exact arithmetic, right on the threshold.
+            length = int(rng.integers(1, k))
+            start = int(rng.integers(0, k - length + 1))
+            counts = np.zeros(k, dtype=int)
+            inside = np.arange(start, start + length)
+            outside = np.setdiff1d(np.arange(k), inside)
+            counts[inside] = rng.multinomial(900, rng.dirichlet(np.ones(length)))
+            counts[outside] = rng.multinomial(100, rng.dirichlet(np.ones(outside.size)))
+            row = counts / 1000
+        else:
+            row = rng.dirichlet(np.full(k, rng.uniform(0.1, 3.0)))
+        entry = inf._summarize_ranks(row[None, :], ["M"])[0]
+        assert entry.interval == _scan_interval(row), row
 
 
 def test_rank_matrix_nprime_subsampling():

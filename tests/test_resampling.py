@@ -184,6 +184,29 @@ def test_json_reports_do_not_depend_on_blas_threads(tmp_path):
     assert blobs["1"] == blobs["2"]
 
 
+def test_point_values_do_not_depend_on_blas_threads():
+    # A BLAS dot product splits long vectors among its threads; these
+    # sizes changed the last bits of both values under `@`.
+    script = (
+        "import numpy as np\n"
+        "from errstat.correlation import pearson\n"
+        "from errstat.estimators import quantile_hd\n"
+        "rng = np.random.default_rng(5)\n"
+        "x, y = rng.normal(size=(2, 200_000))\n"
+        "u = rng.random(1_000_000)\n"
+        "print(repr(pearson(x, y + 0.1 * x)), *(repr(quantile_hd(u, q)) for q in (0.05, 0.5, 0.95)))\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    printed = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        printed.add(proc.stdout)
+    assert len(printed) == 1, printed
+
+
 def test_replicate_stats_memory_is_bounded():
     # The (B, N) index matrix alone would take 160 MB here.
     cols = np.random.default_rng(3).normal(size=(20000, 3))

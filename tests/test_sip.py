@@ -8,7 +8,6 @@ from errstat.sip import (
     delta_ecdf,
     mue_decomposition,
     sip_matrix,
-    sip_pair,
 )
 
 
@@ -36,6 +35,18 @@ def test_abs_error_deltas():
     np.testing.assert_array_equal(abs_error_deltas(-e1, e2), abs_error_deltas(e1, e2))
 
 
+def _em(cols, names=None):
+    cols = np.column_stack(cols)
+    names = names or [f"M{j + 1}" for j in range(cols.shape[1])]
+    return ErrorMatrix(errors=cols, method_names=names)
+
+
+def sip_pair(e1, e2):
+    """(SIP, tie count) of method 1 over method 2, from the two-column SIP report."""
+    report = sip_matrix(_em([e1, e2]))
+    return report.sip[0, 1], int(report.ties[0, 1])
+
+
 def test_sip_pair_ties_and_dominance():
     e = np.array([0.5, -1.0, 2.0])
     assert sip_pair(e, e) == (0.0, 3)
@@ -50,12 +61,6 @@ def test_sip_pair_matches_bruteforce():
         sip, ties = sip_pair(e1, e2)
         ref_sip, ref_ties, _, _ = brute_force_pair(e1, e2)
         assert sip == ref_sip and ties == ref_ties
-
-
-def _em(cols, names=None):
-    cols = np.column_stack(cols)
-    names = names or [f"M{j + 1}" for j in range(cols.shape[1])]
-    return ErrorMatrix(errors=cols, method_names=names)
 
 
 def test_sip_matrix_total_dominance():

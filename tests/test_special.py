@@ -1,12 +1,23 @@
+"""The regularized incomplete beta behind the Harrell-Davis weights.
+
+`estimators._hd_weights` takes the weights as increments of
+scipy.special.betainc, the CDF of Beta((n+1)q, (n+1)(1-q)), over the
+grid i/n.  The first tests hold that function to the accuracy the weights
+need; the last compares the weights' running sums with 30-digit mpmath
+values at the same floating-point grid points.
+"""
+
+from itertools import accumulate
+from math import exp, lgamma
+
 import mpmath
 import numpy as np
 import pytest
-from math import exp, lgamma
+from mpmath import mp, mpf
 from scipy import integrate
+from scipy.special import betainc
 
-from errstat.special import betainc_reg
-
-mpmath.mp.dps = 40
+from errstat.estimators import _hd_weights, quantile_hd
 
 
 def quad_oracle(a, b, x):
@@ -26,17 +37,17 @@ def quad_oracle(a, b, x):
 def test_matches_quad_oracle(a, b):
     for x in (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
         ref = quad_oracle(a, b, x)
-        got = betainc_reg(a, b, x)
+        got = betainc(a, b, x)
         assert got == pytest.approx(ref, rel=1e-10, abs=1e-14)
 
 
 def _mp_ref(a, b, x):
     for dps in (40, 80, 160):
-        mpmath.mp.dps = dps
-        try:
-            return float(mpmath.betainc(a, b, 0, x, regularized=True))
-        except ValueError:
-            continue
+        with mp.workdps(dps):
+            try:
+                return float(mpmath.betainc(a, b, 0, x, regularized=True))
+            except ValueError:
+                continue
     return None
 
 
@@ -51,41 +62,107 @@ def test_matches_mpmath_to_1e10_up_to_large_shapes():
             ref = _mp_ref(a, b, x)
             if ref is None or ref < 1e-280:
                 continue
-            assert betainc_reg(a, b, x) == pytest.approx(ref, rel=1e-10, abs=1e-300)
+            assert betainc(a, b, x) == pytest.approx(ref, rel=1e-10, abs=1e-300)
             checked += 1
     assert checked > 150
 
 
 def test_huge_shapes_stay_accurate_enough():
-    # lgamma cancellation limits doubles near a+b ~ 1e6; anything below
-    # 1e-8 relative is invisible at the tolerances used downstream.
+    # At a + b ~ 1e6, scipy's betainc stays within about 5e-14 relative
+    # at these points (a hand-written lgamma-based CDF managed only 1e-9).
     n, q = 1_000_000, 0.95
     a, b = (n + 1) * q, (n + 1) * (1 - q)
     for x in (0.9494, 0.95, 0.9506):
-        ref = float(mpmath.betainc(a, b, 0, x, regularized=True))
-        assert betainc_reg(a, b, x) == pytest.approx(ref, rel=5e-8)
+        with mp.workdps(40):
+            ref = float(mpmath.betainc(a, b, 0, x, regularized=True))
+        assert betainc(a, b, x) == pytest.approx(ref, rel=1e-12)
 
 
 def test_edges_and_validation():
-    assert betainc_reg(2.0, 3.0, 0.0) == 0.0
-    assert betainc_reg(2.0, 3.0, 1.0) == 1.0
-    assert betainc_reg(2.0, 3.0, -0.5) == 0.0
-    assert betainc_reg(2.0, 3.0, 1.5) == 1.0
+    # The weight window may run to either end of [0, 1]; the CDF is exact
+    # there, so the weights of a full window sum to 1 with no end fix-up.
+    for n, q in ((2, 0.5), (10, 0.05), (23, 0.95)):
+        a, b = (n + 1) * q, (n + 1) * (1 - q)
+        assert betainc(a, b, 0.0) == 0.0
+        assert betainc(a, b, 1.0) == 1.0
+        lo, w = _hd_weights(n, q)
+        assert (lo, w.size) == (0, n)
+        assert w.sum() == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(ValueError):
-        betainc_reg(0.0, 1.0, 0.5)
-    with pytest.raises(ValueError):
-        betainc_reg(1.0, -2.0, 0.5)
+        quantile_hd(np.array([1.0]), 0.5)
+    for q in (0.0, 1.0, -0.5, 1.5):
+        with pytest.raises(ValueError):
+            quantile_hd(np.array([1.0, 2.0]), q)
 
 
 def test_vectorized_matches_scalar():
     xs = np.linspace(0.0, 1.0, 21)
-    vec = betainc_reg(3.5, 2.5, xs)
+    vec = betainc(3.5, 2.5, xs)
     assert vec.shape == xs.shape
     for x, v in zip(xs, vec):
-        assert v == betainc_reg(3.5, 2.5, float(x))
+        assert v == betainc(3.5, 2.5, float(x))
+    # _hd_weights evaluates the grid as one array
+    n, q = 23, 0.77
+    lo, w = _hd_weights(n, q)
+    a, b = (n + 1) * q, (n + 1) * (1 - q)
+    cdf = [betainc(a, b, i / n) for i in range(lo, lo + w.size + 1)]
+    np.testing.assert_array_equal(w, np.diff(cdf))
 
 
 def test_monotone_in_x():
     xs = np.linspace(0.001, 0.999, 200)
-    vals = betainc_reg(4.0, 9.0, xs)
+    vals = betainc(4.0, 9.0, xs)
     assert np.all(np.diff(vals) >= 0)
+    for n in (2, 37, 5000):
+        for q in (0.05, 0.5, 0.95):
+            assert np.all(_hd_weights(n, q)[1] >= 0)
+
+
+def _mp_mass(a, b, x0, x1):
+    """Beta(a, b) probability of [x0, x1] in mpmath.
+
+    A shape at or below 1 puts an integrable singularity at an end of
+    [0, 1], which mpmath's betainc handles.  Above 1 the density is
+    smooth; it is integrated scaled by its value at the interval's point
+    nearest the mode, so that the quadrature's absolute error bound acts
+    as a relative one, and the precision is raised until that bound is
+    below 1e-25 of the result.  (betainc's hypergeometric series does not
+    converge at n = 10^6 for q <= 0.5, at any precision tried.)
+    """
+    a, b = mpf(a), mpf(b)
+    if min(a, b) <= 1:
+        with mp.workdps(40):
+            return mp.betainc(a, b, x0, x1, regularized=True)
+
+    def log_pdf(t):
+        return (a - 1) * mp.log(t) + (b - 1) * mp.log1p(-t)
+
+    for dps in (40, 80, 160):
+        with mp.workdps(dps):
+            m = min(max((a - 1) / (a + b - 2), x0), x1)
+            peak = log_pdf(m)
+            value, err = mp.quad(lambda t: mp.exp(log_pdf(t) - peak), [x0, m, x1], error=True)
+            if err <= 1e-25 * value:
+                return value * mp.exp(peak + mp.loggamma(a + b) - mp.loggamma(a) - mp.loggamma(b))
+    raise AssertionError(f"quadrature did not converge on [{x0}, {x1}] for Beta({a}, {b})")
+
+
+@pytest.mark.parametrize("q", [0.05, 0.5, 0.95])
+@pytest.mark.parametrize("n", [2, 10, 23, 60, 100, 1000, 5000, 10**6])
+def test_hd_weights_match_mpmath(n, q):
+    lo, w = _hd_weights(n, q)
+    assert np.all(w >= 0)
+    a, b = (n + 1.0) * q, (n + 1.0) * (1.0 - q)
+    ends = np.unique(np.linspace(0, w.size - 1, 25).astype(int))
+    got = np.cumsum(w)[ends]
+    # The cumulative weight through w[j] is I(x_{lo+j+1}) - I(x_lo) on the float grid.
+    grid = [mpf(x) for x in np.concatenate(([lo], lo + ends + 1)) / n]
+    ref = np.array([float(s) for s in accumulate(_mp_mass(a, b, x0, x1) for x0, x1 in zip(grid, grid[1:]))])
+    # The last check point holds the whole window: all the mass there is.
+    assert ref[-1] == pytest.approx(1.0, abs=1e-15)
+    # At 10^6 the bound is relative to the unit total weight.  Pointwise,
+    # cumulative weights below 1e-4 carry relative errors up to about
+    # 3e-12 there (scipy's betainc in the far tails): absolute errors far
+    # too small to move a Harrell-Davis estimate.
+    bound = 2e-15 if n <= 5000 else 1e-13
+    assert np.max(np.abs(got - ref)) <= bound
