@@ -45,9 +45,12 @@ def _load_matrix(path):
 
 def _write_json(path, command, report):
     payload = {"schema_version": SCHEMA_VERSION, "command": command, "report": report}
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
+
+
+def _write_text(path, text):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _write_csv(path, header, rows):
@@ -148,21 +151,15 @@ def cmd_sip(args):
         if report.ties:
             print(f"  ties: {report.ties}")
         if args.ecdf:
-            svg = render.render_delta_ecdf(report, render.RenderSpec(render.DELTA_ECDF, args.size))
-            with open(args.ecdf, "w", encoding="utf-8") as fh:
-                fh.write(svg)
+            _write_text(args.ecdf, render.render_delta_ecdf(report, args.size))
         if args.abs_ecdf:
             kind_q = StatKind.quantile(args.q, args.quantile_method)
             marks = {
                 m: (evaluate(StatKind.mue(), matrix.column(m)), evaluate(kind_q, matrix.column(m)))
                 for m in (m1, m2)
             }
-            svg = render.render_abs_ecdf(
-                matrix.column(m1), matrix.column(m2), (m1, m2),
-                render.RenderSpec(render.ABS_ECDF, args.size), stats=marks,
-            )
-            with open(args.abs_ecdf, "w", encoding="utf-8") as fh:
-                fh.write(svg)
+            svg = render.render_abs_ecdf(matrix.column(m1), matrix.column(m2), (m1, m2), args.size, stats=marks)
+            _write_text(args.abs_ecdf, svg)
         if args.csv:
             _write_csv(args.csv, ("system", "delta", "ecdf", "band_lo", "band_hi"), list(report.rows()))
         if args.json:
@@ -176,9 +173,7 @@ def cmd_sip(args):
     _print_grid(f"SIP matrix (N={report.n_systems}, rows ordered by decreasing MSIP)", labels, sip_sorted, "{:6.3f}")
     print("MSIP: " + "  ".join(f"{report.labels[i]}={report.msip[i]:.3f}" for i in order))
     if args.svg:
-        svg = render.render_matrix(sip_sorted, labels, render.RenderSpec(render.SIP_DISK, args.size))
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(svg)
+        _write_text(args.svg, render.render_matrix(sip_sorted, labels, render.SIP_DISK, args.size))
     if args.csv:
         _write_csv(args.csv, ("method", *labels), [(labels[i], *map(float, sip_sorted[i])) for i in range(len(labels))])
     if args.json:
@@ -197,9 +192,7 @@ def cmd_corr(args):
         corr = correlation_matrix(values, method=method, labels=table.method_names)
     _print_grid(f"{method} correlation of {args.on}", corr.labels, corr.values, "{:6.2f}")
     if args.svg:
-        svg = render.render_matrix(corr.values, corr.labels, render.RenderSpec(render.CORR_ELLIPSE, args.size))
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(svg)
+        _write_text(args.svg, render.render_matrix(corr.values, corr.labels, render.CORR_ELLIPSE, args.size))
     if args.csv:
         _write_csv(args.csv, ("method", *corr.labels),
                    [(corr.labels[i], *map(float, corr.values[i])) for i in range(len(corr.labels))])
@@ -225,9 +218,7 @@ def cmd_rank(args):
         lo, hi = entry.interval
         print(f"  {entry.label:>16}: {entry.mode} (p={entry.mode_probability:.3f}) [{lo}, {hi}]")
     if args.svg:
-        svg = render.render_matrix(rm.p, rm.labels, render.RenderSpec(render.RANK_HEATMAP, args.size))
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(svg)
+        _write_text(args.svg, render.render_matrix(rm.p, rm.labels, render.RANK_HEATMAP, args.size))
     if args.csv:
         _write_csv(
             args.csv,
@@ -271,10 +262,13 @@ def _study_outputs(args, result):
 
 def cmd_simulate(args):
     if args.what == "gh":
+        if len(args.n) != 1:
+            raise ValidationError(f"simulate gh takes one --n size, got {','.join(map(str, args.n))}")
+        n = args.n[0]
         params = simulation.GHParams(g=args.g, h=args.h, mu=args.mu, sigma=args.sigma)
         rng = np.random.default_rng(np.random.SeedSequence(args.seed & ((1 << 64) - 1)))
-        sample = simulation.gh_sample(params, args.n, rng)
-        print(f"g-and-h sample ({params.label}, n={args.n}, seed={args.seed})")
+        sample = simulation.gh_sample(params, n, rng)
+        print(f"g-and-h sample ({params.label}, n={n}, seed={args.seed})")
         print(f"  mean = {sample.mean():.5g}   sd = {sample.std(ddof=1):.5g}")
         print(f"  min = {sample.min():.5g}   max = {sample.max():.5g}")
         if args.csv:
@@ -285,32 +279,26 @@ def cmd_simulate(args):
                 "simulate-gh",
                 {
                     "params": params.to_dict(),
-                    "n": args.n,
+                    "n": n,
                     "seed": args.seed,
                     "values": [float(v) for v in sample],
                 },
             )
         return 0
 
-    kwargs = dict(
+    config = simulation.StudyConfig(
         n_values=tuple(args.n),
         rho_values=tuple(args.rho),
         reps=args.reps,
         B=args.boot,
         gh_scenarios=_scenarios(args.scenarios),
         seed=args.seed,
+        statistic=None if args.what == "corrtransfer" else _statkind(args),
     )
     if args.what == "corrtransfer":
-        config = simulation.StudyConfig(**kwargs)
         return _study_outputs(args, simulation.corr_transfer_study(config))
     if args.what == "type1":
-        config = simulation.StudyConfig(
-            statistic=StatKind.parse(args.stat, q=args.q, method=args.quantile_method), **kwargs
-        )
         return _study_outputs(args, simulation.type1_study(config))
-    config = simulation.StudyConfig(
-        statistic=StatKind.parse(args.stat, q=args.q, method=args.quantile_method), **kwargs
-    )
     return _study_outputs(args, simulation.hd_convergence_study(config, modes=tuple(args.mode.split(","))))
 
 
@@ -373,11 +361,11 @@ def build_parser():
     p = sub.add_parser("simulate", parents=[base], help="synthetic-data studies")
     p.add_argument("what", choices=("gh", "corrtransfer", "type1", "hdstudy"))
     p.add_argument("--stat", default="mue")
-    p.add_argument("--n", type=_int_list, default=[100], help="dataset sizes, comma separated")
+    p.add_argument("--n", type=_int_list, default=[100], help="dataset sizes, comma separated (one for gh)")
     p.add_argument("--rho", type=_float_list, default=[0.0], help="correlations, comma separated")
     p.add_argument("--reps", type=int, default=1000, help="Monte Carlo repetitions")
     p.add_argument("--scenarios", default="normal", help="g-and-h scenarios, comma separated")
-    p.add_argument("--mode", default="A,B", help="hdstudy modes")
+    p.add_argument("--mode", default="A,B", help="hdstudy modes: A, B or A,B")
     p.add_argument("--g", type=float, default=0.0)
     p.add_argument("--h", type=float, default=0.0)
     p.add_argument("--mu", type=float, default=0.0)
@@ -393,8 +381,6 @@ def run(argv):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
-    if getattr(args, "what", None) == "gh" and isinstance(args.n, list):
-        args.n = args.n[0]
     with warnings.catch_warnings():  # one plain stderr line per warning
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:

@@ -11,7 +11,7 @@ mean (denominator N-1), not the root mean squared error about zero.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.special import betainc, chdtri
@@ -98,22 +98,13 @@ def evaluate(kind, errors):
     e = np.asarray(errors, dtype=float)
     if e.ndim != 1 or e.size < 2:
         raise ValueError("need a 1-d error vector with at least 2 entries")
-    if kind.kind == "mse":
-        return float(e.mean())
-    if kind.kind == "mue":
-        return float(np.abs(e).mean())
-    if kind.kind == "rmsd":
-        return float(e.std(ddof=1))
-    if kind.quantile_method == "hd":
-        return quantile_hd(np.abs(e), kind.q)
-    return quantile_type7(np.abs(e), kind.q)
+    return float(evaluate_rows(kind, e[None, :])[0])
 
 
 def evaluate_rows(kind, matrix):
     """Row-wise `evaluate` on a 2-d array, vectorized for simulation loops.
 
-    Gives the same numbers as calling `evaluate` on every row, but sorts
-    and reduces whole blocks of rows at once.
+    The one definition of each statistic: `evaluate` is its one-row case.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2:
@@ -125,13 +116,24 @@ def evaluate_rows(kind, matrix):
     if kind.kind == "rmsd":
         return m.std(axis=1, ddof=1)
     xs = np.sort(np.abs(m), axis=1)
-    n = m.shape[1]
-    if kind.quantile_method == "hd":
-        lo, w = _hd_weights(n, kind.q)
-        return weighted_sums(xs[:, lo : lo + w.size], w[None, :])[:, 0]
-    h = (n - 1) * kind.q
-    j = min(int(np.floor(h)), n - 2)
-    return xs[:, j] + (h - j) * (xs[:, j + 1] - xs[:, j])
+    return _quantile(kind.quantile_method, kind.q, m.shape[1], lambda lo, hi: xs[:, lo:hi])
+
+
+def _quantile(method, q, m, window):
+    """Quantile estimate of samples of m values from their order statistics.
+
+    `window(lo, hi)` returns order statistics lo..hi-1 of every sample,
+    sorted, one row per sample.  Harrell-Davis weights the window its
+    weights cover; type 7 interpolates between order statistics j and
+    j + 1 at h = (m-1)q.
+    """
+    if method == "hd":
+        lo, w = _hd_weights(m, q)
+        return weighted_sums(window(lo, lo + w.size), w[None, :])[:, 0]
+    h = (m - 1) * q
+    j = min(int(np.floor(h)), m - 2)
+    x = window(j, j + 2)
+    return x[:, 0] + (h - j) * (x[:, 1] - x[:, 0])
 
 
 def weighted_sums(a, b):
@@ -198,26 +200,26 @@ def _quantile_block(kind, cols):
     np.put_along_axis(ranks, order, np.arange(a.shape[1], dtype=ranks.dtype)[None, :], axis=1)
 
     def block(idx):
-        m = idx.shape[1]
         out = np.empty((idx.shape[0], a.shape[0]))
         for col, (rank, xs) in enumerate(zip(ranks, sorted_abs)):
-            r = rank[idx]
-            if kind.quantile_method == "type7":
-                h = (m - 1) * kind.q
-                j = min(int(np.floor(h)), m - 2)
-                r = np.partition(r, j, axis=1)
-                x0, x1 = xs[r[:, j]], xs[r[:, j + 1 :].min(axis=1)]
-                out[:, col] = x0 + (h - j) * (x1 - x0)
-                continue
-            lo, w = _hd_weights(m, kind.q)
-            if lo > 0:
-                r = np.partition(r, lo, axis=1)[:, lo:]
-            if lo + w.size < m:
-                r = np.partition(r, w.size - 1, axis=1)[:, : w.size]
-            out[:, col] = weighted_sums(xs[np.sort(r, axis=1)], w[None, :])[:, 0]
+            window = partial(_rank_window, rank[idx], xs)
+            out[:, col] = _quantile(kind.quantile_method, kind.q, idx.shape[1], window)
         return out
 
     return block
+
+
+def _rank_window(r, xs, lo, hi):
+    """Values xs[r] of order statistics lo..hi-1 of each row of ranks r, sorted.
+
+    Two single-kth np.partition calls cut each row to the window (one call
+    with two kths is far slower), and only the window is sorted.
+    """
+    if lo > 0:
+        r = np.partition(r, lo, axis=1)[:, lo:]
+    if hi - lo < r.shape[1]:
+        r = np.partition(r, hi - lo - 1, axis=1)[:, : hi - lo]
+    return xs[np.sort(r, axis=1)]
 
 
 # Beta(a, b) weight mass further than this many standard deviations from
@@ -250,9 +252,8 @@ def quantile_hd(x, q):
         raise ValueError("need at least 2 samples")
     if not 0.0 < q < 1.0:
         raise ValueError(f"quantile level must be in (0, 1), got {q}")
-    lo, w = _hd_weights(x.size, q)
     xs = np.sort(x)
-    return float(weighted_sums(xs[None, lo : lo + w.size], w[None, :])[0, 0])
+    return float(_quantile("hd", q, x.size, lambda lo, hi: xs[None, lo:hi])[0])
 
 
 def quantile_type7(x, q):
@@ -263,11 +264,9 @@ def quantile_type7(x, q):
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"quantile level must be in [0, 1], got {q}")
     xs = np.sort(x)
-    h = (x.size - 1) * q
-    j = int(np.floor(h))
-    if j >= x.size - 1:
+    if q == 1.0:  # the interpolation x0 + 1 * (x1 - x0) need not give x1 exactly
         return float(xs[-1])
-    return float(xs[j] + (h - j) * (xs[j + 1] - xs[j]))
+    return float(_quantile("type7", q, x.size, lambda lo, hi: xs[None, lo:hi])[0])
 
 
 def chi2_weighted(errors, u, mean):

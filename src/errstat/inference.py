@@ -28,7 +28,6 @@ __all__ = [
     "LOWER_IS_RANK1",
     "HIGHER_IS_RANK1",
     "BLOCK_CELLS",
-    "replicate_rng",
     "resample_indices",
     "replicate_blocks",
     "replicate_stats",
@@ -83,16 +82,13 @@ class BootstrapPlan:
         return self.n_prime
 
 
-def replicate_rng(seed, replicate_index):
-    """Generator for one replicate, keyed by (seed, replicate) only."""
-    key = ((seed & _MASK64) << 64) | (replicate_index & _MASK64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def resample_indices(plan, replicate_index, n):
-    """Row indices drawn with replacement for one replicate."""
-    rng = replicate_rng(plan.seed, replicate_index)
-    return rng.integers(0, n, size=plan.resample_size(n))
+    """Row indices drawn with replacement for one replicate.
+
+    The draw comes from a Philox stream keyed by (seed, replicate) only.
+    """
+    key = ((plan.seed & _MASK64) << 64) | (replicate_index & _MASK64)
+    return np.random.Generator(np.random.Philox(key=key)).integers(0, n, size=plan.resample_size(n))
 
 
 def replicate_blocks(plan, n):

@@ -9,12 +9,10 @@ matrices are plain sequential heatmaps.  Everything is hand-built SVG
 """
 
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "RenderSpec",
     "render_matrix",
     "render_delta_ecdf",
     "render_abs_ecdf",
@@ -23,10 +21,6 @@ __all__ = [
 CORR_ELLIPSE = "corr_ellipse"
 SIP_DISK = "sip_disk"
 RANK_HEATMAP = "rank_heatmap"
-DELTA_ECDF = "delta_ecdf"
-ABS_ECDF = "abs_ecdf"
-
-_MATRIX_KINDS = (CORR_ELLIPSE, SIP_DISK, RANK_HEATMAP)
 
 _BLUE = (5, 113, 176)
 _RED = (202, 0, 32)
@@ -34,16 +28,9 @@ _DARK = (8, 48, 107)
 _WHITE = (255, 255, 255)
 
 
-@dataclass(frozen=True)
-class RenderSpec:
-    kind: str
-    size_px: int = 600
-
-    def __post_init__(self):
-        if self.kind not in _MATRIX_KINDS + (DELTA_ECDF, ABS_ECDF):
-            raise ValueError(f"unknown render kind {self.kind!r}")
-        if self.size_px < 200:
-            raise ValueError("size must be at least 200 px")
+def _check_size(size_px):
+    if size_px < 200:
+        raise ValueError("size must be at least 200 px")
 
 
 def _mix(c0, c1, t):
@@ -92,6 +79,8 @@ def _text(parent, x, y, s, size=12, anchor="middle", transform=None, fill="#3333
 
 
 def _validate_matrix(values, kind):
+    if kind not in (CORR_ELLIPSE, SIP_DISK, RANK_HEATMAP):
+        raise ValueError(f"unknown matrix kind {kind!r}")
     v = np.asarray(values, dtype=float)
     if v.ndim != 2 or v.shape[0] != v.shape[1]:
         raise ValueError("need a square matrix")
@@ -109,20 +98,21 @@ def _validate_matrix(values, kind):
     return v
 
 
-def render_matrix(values, labels, spec):
+def render_matrix(values, labels, kind, size_px=600):
     """Render a K x K matrix as SVG with one glyph per cell.
 
     Rows are drawn in the order given; for SIP matrices the caller passes
     values and labels already sorted by decreasing MSIP.
     """
-    v = _validate_matrix(values, spec.kind)
+    _check_size(size_px)
+    v = _validate_matrix(values, kind)
     k = v.shape[0]
     labels = [str(s) for s in labels]
     if len(labels) != k:
         raise ValueError("label count does not match matrix size")
-    margin = max(80, spec.size_px // 6)
-    cell = (spec.size_px - margin) / k
-    total = spec.size_px
+    margin = max(80, size_px // 6)
+    cell = (size_px - margin) / k
+    total = size_px
     root = _svg_root(total, total)
     ET.SubElement(root, "rect", {"x": "0", "y": "0", "width": str(total), "height": str(total), "fill": "white"})
 
@@ -144,7 +134,7 @@ def render_matrix(values, labels, spec):
                  "fill": "none", "stroke": "#cccccc", "stroke-width": "1"},
             )
             val = float(v[i, j])
-            if spec.kind == CORR_ELLIPSE:
+            if kind == CORR_ELLIPSE:
                 rx = 0.42 * cell
                 ry = rx * (1.0 - 0.88 * min(1.0, abs(val)))
                 angle = -45 if val >= 0 else 45
@@ -156,7 +146,7 @@ def render_matrix(values, labels, spec):
                      "transform": f"rotate({angle} {cx:.2f} {cy:.2f})",
                      "fill": _corr_color(val), "stroke": "#666666", "stroke-width": "0.5"},
                 )
-            elif spec.kind == SIP_DISK:
+            elif kind == SIP_DISK:
                 r = 0.45 * cell * np.sqrt(max(0.0, val))
                 ET.SubElement(
                     root,
@@ -227,12 +217,11 @@ def _polyline(parent, pts, stroke, width="1.5", dash=None, fill="none", cls=None
     return ET.SubElement(parent, "polyline", attrs)
 
 
-def render_delta_ecdf(report, spec):
+def render_delta_ecdf(report, size_px=600):
     """ECDF of the absolute-error differences with band and annotations."""
-    if spec.kind != DELTA_ECDF:
-        raise ValueError("spec kind must be delta_ecdf")
-    w = spec.size_px
-    h = int(spec.size_px * 0.75)
+    _check_size(size_px)
+    w = size_px
+    h = int(size_px * 0.75)
     root = _svg_root(w, h)
     ET.SubElement(root, "rect", {"x": "0", "y": "0", "width": str(w), "height": str(h), "fill": "white"})
     deltas = np.asarray(report.deltas)
@@ -266,18 +255,17 @@ def render_delta_ecdf(report, spec):
     return ET.tostring(root, encoding="unicode")
 
 
-def render_abs_ecdf(e1, e2, labels, spec, stats=None):
+def render_abs_ecdf(e1, e2, labels, size_px=600, stats=None):
     """ECDFs of two absolute-error sets with MUE (dotted) and Q95 (dashed) marks.
 
     `stats` is an optional mapping label -> (mue, q95) to draw the
     vertical markers.
     """
-    if spec.kind != ABS_ECDF:
-        raise ValueError("spec kind must be abs_ecdf")
+    _check_size(size_px)
     a1 = np.sort(np.abs(np.asarray(e1, dtype=float)))
     a2 = np.sort(np.abs(np.asarray(e2, dtype=float)))
-    w = spec.size_px
-    h = int(spec.size_px * 0.75)
+    w = size_px
+    h = int(size_px * 0.75)
     root = _svg_root(w, h)
     ET.SubElement(root, "rect", {"x": "0", "y": "0", "width": str(w), "height": str(h), "fill": "white"})
     hi = max(a1.max(), a2.max())

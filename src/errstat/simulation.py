@@ -336,8 +336,10 @@ def hd_convergence_study(config, modes=("A", "B"), base_n=500):
     the estimates by five quantiles.  Mode B bootstraps subsets of one
     fixed `base_n` sample, additionally counting the distinct estimate
     values (the smooth estimator produces many more of them, which is why
-    it pairs well with the bootstrap).
+    it pairs well with the bootstrap).  Other modes raise ValueError.
     """
+    if not modes or not set(modes) <= {"A", "B"}:
+        raise ValueError(f"hdstudy modes must be A and/or B, got {tuple(modes)!r}")
     scen = config.gh_scenarios[0]
     q = config.statistic.q if config.statistic is not None and config.statistic.kind == "q" else 0.95
     reference = (

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import inference
-from .estimators import resample_counts, weighted_sums
+from .estimators import StatKind, evaluate_rows, resample_counts, weighted_sums
 
 __all__ = [
     "SipReport",
@@ -37,6 +37,9 @@ def abs_error_deltas(e1, e2):
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("paired error sets must be 1-d and the same length")
     return np.abs(a) - np.abs(b)
+
+
+_MUE = StatKind.mue()
 
 
 def _mean_gain(deltas):
@@ -121,7 +124,8 @@ def mue_decomposition(e1, e2):
     precision, terms with zero SIP contribute nothing.
     """
     deltas = abs_error_deltas(e1, e2)
-    delta_mue = float(np.abs(np.asarray(e1, dtype=float)).mean() - np.abs(np.asarray(e2, dtype=float)).mean())
+    mue_1, mue_2 = evaluate_rows(_MUE, np.stack([e1, e2]))  # unlike evaluate, takes one system
+    delta_mue = float(mue_1 - mue_2)
     sip_12 = float((deltas < 0).mean())
     sip_21 = float((deltas > 0).mean())
     gain = _mean_gain(deltas)
@@ -259,7 +263,8 @@ def delta_ecdf(e1, e2, plan, labels=("M1", "M2"), system_ids=None, uncertainty_b
     mg_val = _mean_gain(deltas)
     ml_neg = _mean_gain(-deltas)
     ml_val = None if ml_neg is None else -ml_neg
-    dmue_val = float(np.abs(a).mean() - np.abs(b).mean())
+    mue_1, mue_2 = evaluate_rows(_MUE, np.stack([a, b]))
+    dmue_val = float(mue_1 - mue_2)
     ordered_ids = None
     if system_ids is not None:
         ordered_ids = [system_ids[i] for i in order]

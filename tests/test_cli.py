@@ -191,6 +191,15 @@ def test_simulate_gh(tmp_path, capsys):
     assert len(csv_out.read_text().strip().splitlines()) == 501
 
 
+def test_simulate_gh_takes_one_size(tmp_path, capsys):
+    json_out = tmp_path / "gh.json"
+    assert run(["simulate", "gh", "--n", "5,7", "--json", str(json_out)]) == 2
+    assert "one --n size, got 5,7" in capsys.readouterr().err
+    assert not json_out.exists()
+    assert run(["simulate", "gh", "--n", "12", "--json", str(json_out)]) == 0
+    assert len(json.loads(json_out.read_text())["report"]["values"]) == 12
+
+
 def test_simulate_type1(tmp_path, capsys):
     json_out = tmp_path / "t1.json"
     code = run(["simulate", "type1", "--stat", "mue", "--n", "30", "--rho", "0.5",
@@ -231,6 +240,15 @@ def test_simulate_hdstudy(tmp_path):
     lines = csv_out.read_text().strip().splitlines()
     assert lines[0].startswith("mode,n,estimator")
     assert len(lines) == 5
+
+
+@pytest.mark.parametrize("mode", ["C", "A,C", ""])
+def test_simulate_hdstudy_rejects_unknown_mode(tmp_path, capsys, mode):
+    json_out = tmp_path / "hd.json"
+    code = run(["simulate", "hdstudy", "--n", "20", "--reps", "100", "--mode", mode, "--json", str(json_out)])
+    assert code == 2
+    assert "modes must be A and/or B" in capsys.readouterr().err
+    assert not json_out.exists()
 
 
 def test_cli_json_deterministic_across_runs(data, tmp_path):

@@ -8,6 +8,7 @@ from errstat.estimators import (
     StatKind,
     chi2_weighted,
     evaluate,
+    evaluate_resampled,
     evaluate_rows,
     quantile_hd,
     quantile_type7,
@@ -59,13 +60,37 @@ def test_mue_bounds_mse(e):
 
 
 def test_evaluate_rows_matches_scalar_path():
+    # Bit-equal: `evaluate` is the one-row case of `evaluate_rows`, and
+    # quantile_hd/quantile_type7 read the same order-statistic rule.
     rng = np.random.default_rng(3)
-    m = rng.normal(size=(50, 17))
-    for kind in (StatKind.mse(), StatKind.mue(), StatKind.rmsd(),
-                 StatKind.quantile(0.95, "hd"), StatKind.quantile(0.6, "type7")):
-        rows = evaluate_rows(kind, m)
-        expected = [evaluate(kind, m[i]) for i in range(m.shape[0])]
-        np.testing.assert_allclose(rows, expected, rtol=1e-12)
+    for n in (2, 3, 17, 8193, 20000):
+        m = rng.normal(size=(6, n))
+        for kind in (StatKind.mse(), StatKind.mue(), StatKind.rmsd(),
+                     StatKind.quantile(0.95, "hd"), StatKind.quantile(0.6, "type7"),
+                     StatKind.quantile(0.99, "type7")):
+            rows = evaluate_rows(kind, m)
+            assert np.array_equal(rows, [evaluate(kind, row) for row in m])
+            if kind.kind == "q":
+                fn = quantile_hd if kind.quantile_method == "hd" else quantile_type7
+                assert np.array_equal(rows, [fn(np.abs(row), kind.q) for row in m])
+        e = m[0]
+        assert evaluate(StatKind.mse(), e) == e.mean()
+        assert evaluate(StatKind.mue(), e) == np.abs(e).mean()
+        assert evaluate(StatKind.rmsd(), e) == e.std(ddof=1)
+
+
+@pytest.mark.parametrize("kind", [StatKind.quantile(0.95, "hd"), StatKind.quantile(0.3, "hd"),
+                                  StatKind.quantile(0.95, "type7"), StatKind.quantile(0.99, "type7")])
+def test_resampled_quantiles_equal_gathered_rows(kind):
+    # Rank windows and sorted rows feed the same rule, so a replicate is
+    # bit-equal to the point value of its gathered resample.
+    rng = np.random.default_rng(8)
+    for n in (2, 3, 40, 700):
+        cols = np.round(rng.normal(size=(n, 2)), 1)  # many exact ties
+        idx = rng.integers(0, n, size=(30, n))
+        got = evaluate_resampled(kind, cols, [idx, idx[:1]])
+        want = [[evaluate(kind, cols[row, k]) for k in range(2)] for row in np.vstack([idx, idx[:1]])]
+        assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------- quantiles
@@ -138,6 +163,7 @@ def hd_quad_oracle_window(x, q):
 def test_type7_examples():
     assert quantile_type7(np.array([1.0, 2.0, 3.0, 4.0]), 0.5) == 2.5
     assert quantile_type7(np.array([1.0, 2.0, 3.0, 4.0]), 1.0) == 4.0
+    assert quantile_type7(np.array([0.8, -1.4]), 1.0) == 0.8  # -1.4 + 1 * (0.8 + 1.4) is not
     assert quantile_type7(np.array([5.0, 1.0, 3.0]), 0.5) == 3.0
 
 

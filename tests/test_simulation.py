@@ -218,3 +218,10 @@ def test_hd_study_mode_b_rejects_oversized_subsets():
     config = StudyConfig(n_values=(600,), reps=100, seed=1)
     with pytest.raises(ValueError):
         hd_convergence_study(config, modes=("B",))
+
+
+@pytest.mark.parametrize("modes", [(), ("C",), ("A", "C"), ("a",)])
+def test_hd_study_rejects_unknown_or_no_modes(modes):
+    config = StudyConfig(n_values=(20,), reps=100, seed=1)
+    with pytest.raises(ValueError, match="modes must be A and/or B"):
+        hd_convergence_study(config, modes=modes)
