@@ -302,6 +302,17 @@ def cmd_simulate(args):
     return _study_outputs(args, simulation.hd_convergence_study(config, modes=tuple(args.mode.split(","))))
 
 
+def _size_px(text):
+    """--size as an int, rejected while parsing so a bad value fails before any work."""
+    try:
+        size = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if size < 200:
+        raise argparse.ArgumentTypeError("size must be at least 200 px")
+    return size
+
+
 def _int_list(text):
     return [int(v) for v in text.split(",")]
 
@@ -328,7 +339,7 @@ def build_parser():
 
     figure = argparse.ArgumentParser(add_help=False)
     figure.add_argument("--svg", metavar="PATH", help="write an SVG figure")
-    figure.add_argument("--size", type=int, default=600, help="SVG size in px")
+    figure.add_argument("--size", type=_size_px, default=600, help="SVG size in px")
 
     p = sub.add_parser("stats", parents=[data_base], help="per-method statistic with bootstrap SE")
     p.add_argument("--stat", default="mue")

@@ -163,6 +163,20 @@ def _looks_like_inline_csv(s):
     return ("\n" if isinstance(s, str) else b"\n") in s
 
 
+def _bulk_values(body, ncol):
+    """All body cells as one float array, or None when a row needs the per-cell checks.
+
+    numpy's str-to-float accepts exactly what Python's float accepts.
+    """
+    if any(len(row) != ncol for _, row in body):
+        return None
+    try:
+        values = np.array([row[1:] for _, row in body], dtype=float)
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
 def _load_csv(fh):
     rows = [
         (lineno, row)
@@ -173,30 +187,36 @@ def _load_csv(fh):
         raise ValidationError("empty input")
     header = _parse_header(rows[0][1])
     ncol = len(header)
+    body = rows[1:]
 
-    kept_ids, kept_values = [], []
-    for lineno, row in rows[1:]:
-        if len(row) != ncol:
-            raise ValidationError(f"row {lineno}: expected {ncol} cells, got {len(row)}")
-        cells = [c.strip() for c in row]
-        if any(c == "" for c in cells[1:]):
-            warnings.warn(f"row {lineno}: missing value, row dropped", stacklevel=3)
-            continue
-        values = []
-        for name, cell in zip(header[1:], cells[1:]):
-            try:
-                value = float(cell)
-            except ValueError:
-                raise ValidationError(f"row {lineno}: non-numeric cell {cell!r} in column {name!r}") from None
-            if not math.isfinite(value):
-                raise ValidationError(f"row {lineno}: non-finite cell {cell!r} in column {name!r}")
-            values.append(value)
-        kept_ids.append(cells[0])
-        kept_values.append(values)
+    body_values = _bulk_values(body, ncol)
+    if body_values is not None:
+        kept_ids = [row[0].strip() for _, row in body]
+    else:  # per cell: drops incomplete rows and names the offending row and column
+        kept_ids, kept_values = [], []
+        for lineno, row in body:
+            if len(row) != ncol:
+                raise ValidationError(f"row {lineno}: expected {ncol} cells, got {len(row)}")
+            cells = [c.strip() for c in row]
+            if any(c == "" for c in cells[1:]):
+                warnings.warn(f"row {lineno}: missing value, row dropped", stacklevel=3)
+                continue
+            values = []
+            for name, cell in zip(header[1:], cells[1:]):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise ValidationError(f"row {lineno}: non-numeric cell {cell!r} in column {name!r}") from None
+                if not math.isfinite(value):
+                    raise ValidationError(f"row {lineno}: non-finite cell {cell!r} in column {name!r}")
+                values.append(value)
+            kept_ids.append(cells[0])
+            kept_values.append(values)
+        body_values = np.asarray(kept_values, dtype=float)
 
     if len(kept_ids) < 2:
         raise ValidationError(f"need at least 2 systems, got {len(kept_ids)}")
-    data = dict(zip(header[1:], np.asarray(kept_values, dtype=float).T))
+    data = dict(zip(header[1:], body_values.T))
     table = BenchmarkTable(
         system_ids=kept_ids,
         reference=data["Ref"],

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
-from scipy.special import betainc, chdtri
 
 __all__ = [
     "StatKind",
@@ -236,6 +235,7 @@ def _hd_weights(n, q):
     grid i/n; for large n only the window carrying non-negligible mass is
     evaluated.
     """
+    from scipy.special import betainc
     a = (n + 1.0) * q
     b = (n + 1.0) * (1.0 - q)
     mean = a / (a + b)
@@ -277,6 +277,7 @@ def chi2_weighted(errors, u, mean):
     Values below the interval signal over-estimated uncertainties, values
     above an excess of variance in the errors.
     """
+    from scipy.special import chdtri
     e = np.asarray(errors, dtype=float)
     uu = np.asarray(u, dtype=float)
     if e.size < 2:

@@ -12,11 +12,11 @@ Point values of statistics are always computed on the original sample;
 the bootstrap only supplies uncertainties and counting probabilities.
 """
 
+import threading
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .estimators import StatKind, evaluate, evaluate_resampled
 
@@ -45,6 +45,10 @@ LOWER_IS_RANK1 = "lower"
 HIGHER_IS_RANK1 = "higher"
 
 _MASK64 = (1 << 64) - 1
+
+# One reusable generator per thread: a shared one could be re-keyed by
+# another thread between the reset and the draw.
+_thread_rng = threading.local()
 
 # Dataset sizes below these make the counting p-values unreliable for the
 # matching statistic; comparisons still run but emit a warning.
@@ -85,10 +89,17 @@ class BootstrapPlan:
 def resample_indices(plan, replicate_index, n):
     """Row indices drawn with replacement for one replicate.
 
-    The draw comes from a Philox stream keyed by (seed, replicate) only.
+    The draw is that of `Generator(Philox(key=(seed << 64) | replicate))`,
+    both taken mod 2**64, made by resetting a per-thread generator to that
+    key and counter 0.
     """
-    key = ((plan.seed & _MASK64) << 64) | (replicate_index & _MASK64)
-    return np.random.Generator(np.random.Philox(key=key)).integers(0, n, size=plan.resample_size(n))
+    gen = getattr(_thread_rng, "gen", None)
+    if gen is None:
+        gen = _thread_rng.gen = np.random.Generator(np.random.Philox(0))
+    key = [replicate_index & _MASK64, plan.seed & _MASK64]
+    gen.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+                               "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return gen.integers(0, n, size=plan.resample_size(n))
 
 
 def replicate_blocks(plan, n):
@@ -144,6 +155,7 @@ def p_t_value(s1, s2, u_diff):
     """Normal-theory p-value from the discrepancy xi = |s1-s2| / u(s1-s2)."""
     if u_diff <= 0.0:
         raise ValueError("degenerate uncertainty: u(s1-s2) must be > 0")
+    from scipy.special import ndtr
     xi = abs(s1 - s2) / u_diff
     return xi, float(2.0 * (1.0 - ndtr(xi)))
 
@@ -157,6 +169,7 @@ def p_unc_value(s1, s2, u1, u2):
     denom = np.hypot(u1, u2)
     if denom <= 0.0:
         raise ValueError("degenerate uncertainty: u1 and u2 are both zero")
+    from scipy.special import ndtr
     xi = abs(s1 - s2) / denom
     return xi, float(2.0 * (1.0 - ndtr(xi)))
 

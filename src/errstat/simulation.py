@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtr
 
 from .estimators import StatKind, evaluate_resampled, evaluate_rows
 from .correlation import pearson
@@ -171,6 +170,7 @@ def population_folded_stats(mu, sigma, q=0.95, tol=1e-8):
     MUE is the folded-normal mean; the quantile of |X| is solved by
     bisection on P(|X| <= x) = Phi((x-mu)/s) - Phi((-x-mu)/s).
     """
+    from scipy.special import ndtr
     if sigma <= 0:
         raise ValueError("sigma must be > 0")
     mue = sigma * np.sqrt(2.0 / np.pi) * np.exp(-(mu**2) / (2.0 * sigma**2)) + mu * (

@@ -86,6 +86,24 @@ def test_unknown_flag_exits_2(data, capsys):
     assert run(["stats", data, "--frobnicate"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sip", "--pair", "M1,M2", "--ecdf", "@out", "--size", "100"],
+        ["rank", "--svg", "@out", "--size", "50"],
+        ["corr", "--svg", "@out", "--size", "199"],
+    ],
+)
+def test_small_figure_size_exits_2_before_any_work(data, tmp_path, capsys, argv):
+    out = tmp_path / "figure.svg"
+    argv = [argv[0], data, "--boot", "100"] + [str(out) if a == "@out" else a for a in argv[1:]]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "size must be at least 200 px" in captured.err
+    assert not out.exists()
+
+
 def test_unreadable_file_exits_2(tmp_path, capsys):
     assert run(["stats", str(tmp_path / "missing.csv")]) == 2
 

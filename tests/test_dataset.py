@@ -1,13 +1,15 @@
+import csv
 import io
 import re
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from errstat.dataset import (
     ValidationError,
+    _bulk_values,
     errors_from_table,
     load_table,
 )
@@ -195,3 +197,81 @@ def test_combine_uncertainty_symmetric_and_dominating(a, b):
     for alone in (_one_row_spread(a, 0.0), _one_row_spread(0.0, b, quiet=(0.0, 1.0))):
         if alone:
             assert both and _spread_ratio(both[0]) >= _spread_ratio(alone[0])
+
+
+_CELL_FORMATS = (repr, lambda v: f" {v!r}\t", lambda v: f"{v:.17e}", lambda v: f"{v:.17g}")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.text("abcXYZ019_-.", min_size=1, max_size=6),
+            st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3),
+        ),
+        min_size=2,
+        max_size=25,
+        unique_by=lambda row: row[0],
+    ),
+    st.sampled_from(_CELL_FORMATS),
+)
+def test_load_round_trips_ids_and_float_bits(rows, fmt):
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["System", "Ref", "M1", "M2"])
+    writer.writerows([sid, *map(fmt, values)] for sid, values in rows)
+    table = load_table(buf.getvalue())
+    assert table.system_ids == [sid for sid, _ in rows]
+    got = np.column_stack([table.reference, table.methods["M1"], table.methods["M2"]])
+    want = np.array([values for _, values in rows])
+    assert got.tobytes() == want.tobytes()  # bit equality: -0.0 is not 0.0
+
+
+# numpy's str-to-float must accept and reject exactly what Python's float does.
+_PROBES = ["1_0", "\u0661\u0662", "\u0663.\u0665", "\u0967\u0968", "  2.5  ", "\xa07\xa0", "infinity",
+           "1e999", "-0", "1e-400", ".5", "5.", "nan", "0x10", "1 2", "1e", "+-1", "True", "", " ", "1__0", "_1"]
+
+
+@pytest.mark.parametrize("cell", _PROBES)
+def test_bulk_conversion_agrees_with_python_float(cell):
+    try:
+        want = float(cell)
+    except ValueError:
+        want = None
+    got = _bulk_values([(2, ["a", "1.0", cell])], 3)
+    if want is None or not np.isfinite(want):
+        assert got is None  # the per-cell path decides
+    else:
+        assert got.tobytes() == np.array([[1.0, want]]).tobytes()
+        table = load_table(f"System,Ref,M1\na,1.0,{cell}\nb,2.0,3.0\n")
+        assert table.methods["M1"][:1].tobytes() == np.array([want]).tobytes()
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("a,1,2\n#b,x,y\nc,2,nan\n", "row 4: non-finite cell 'nan' in column 'M1'"),
+        ("a,1,2\nb,inf,3\nc,2,3\n", "row 3: non-finite cell 'inf' in column 'Ref'"),
+        ("a,1,2\nb,2\nc,2,3\n", "row 3: expected 3 cells, got 2"),
+        ("a,1,2\n  # note,x\nb,2,#3\n", "row 4: non-numeric cell '#3' in column 'M1'"),
+        ("a,1,2\nb,, 2\nc,2,oops\n", "row 4: non-numeric cell 'oops' in column 'M1'"),
+    ],
+)
+def test_per_cell_errors_name_row_and_column(body, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ValidationError) as info:
+            load_table("System,Ref,M1\n" + body)
+    assert str(info.value) == message
+
+
+def test_missing_cell_warning_names_the_row_and_comments_still_count_as_lines():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        table = load_table("System,Ref,M1\n# comment\na,1,2\nb, ,3\nc,2,3\nd,3,\n")
+    assert [str(w.message) for w in caught] == [
+        "row 4: missing value, row dropped",
+        "row 6: missing value, row dropped",
+    ]
+    assert table.system_ids == ["a", "c"]
+    np.testing.assert_array_equal(table.methods["M1"], [2.0, 3.0])

@@ -9,6 +9,7 @@ the other columns evaluated with it or the BLAS thread count.
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -24,7 +25,7 @@ from errstat.inference import (
     replicate_stats,
     resample_indices,
 )
-from errstat.sip import delta_ecdf
+from errstat.sip import _percentile_band, delta_ecdf
 
 KINDS = (
     StatKind.mse(),
@@ -219,3 +220,61 @@ def test_replicate_stats_memory_is_bounded():
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20, f"{kind.label}: peak {peak / 2**20:.1f} MB"
+
+
+@pytest.mark.parametrize("b", [100, 257, 1000])
+def test_percentile_band_equals_numpy_percentile(b):
+    # The band re-implements numpy's linear percentile on integer counts;
+    # it must agree with np.percentile in every bit, ties included.
+    rng = np.random.default_rng(b)
+    for dtype, n, n_prime in ((np.uint8, 60, 60), (np.uint8, 200, 37), (np.uint16, 5000, 5000), (np.uint16, 700, 300)):
+        for spread in (3, n_prime + 1):  # few distinct values: heavy ties
+            counts = rng.integers(0, spread, size=(n, b)).astype(dtype)
+            counts[: n // 10] = counts[: n // 10, :1]  # rows of one repeated value
+            want = np.percentile(counts / n_prime, [2.5, 97.5], axis=1)
+            got = _percentile_band(counts.copy(), n_prime)
+            np.testing.assert_array_equal(np.array(got).view(np.uint64), want.view(np.uint64))
+
+
+def _fresh_philox_draw(seed, j, n):
+    key = ((seed & (2**64 - 1)) << 64) | (j & (2**64 - 1))
+    return np.random.Generator(np.random.Philox(key=key)).integers(0, n, size=n)
+
+
+def test_resample_indices_equals_a_fresh_philox_generator():
+    for seed in (0, 42, 2**70 + 3):
+        plan = BootstrapPlan(B=100, seed=seed)
+        for j in (0, 1, 999, 2**64 + 5):
+            for n in (5, 5000):
+                want = _fresh_philox_draw(seed, j, n)
+                np.testing.assert_array_equal(resample_indices(plan, j, n), want)
+                resample_indices(plan, j + 1, 7 if n == 5 else 3)  # leaves a half-used buffer behind
+                np.testing.assert_array_equal(resample_indices(plan, j, n), want)
+
+
+def test_resample_indices_threads_each_keep_their_own_stream():
+    jobs = {0: (BootstrapPlan(B=100, seed=42), 5000), 1: (BootstrapPlan(B=100, seed=2**70 + 3), 5)}
+    got = {t: [] for t in jobs}
+    turn = threading.Barrier(2, timeout=30)
+
+    def draw(t):
+        plan, n = jobs[t]
+        for j in range(200):
+            turn.wait()  # both threads draw replicate j at the same time
+            got[t].append(resample_indices(plan, j, n))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw, args=(t,)) for t in jobs]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for t, (plan, n) in jobs.items():
+        assert len(got[t]) == 200
+        for j, idx in enumerate(got[t]):
+            np.testing.assert_array_equal(idx, _fresh_philox_draw(plan.seed, j, n))
