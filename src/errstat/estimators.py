@@ -1,10 +1,9 @@
 """Scalar statistics of a single error set.
 
-Covers the four benchmark scores (MSE, MUE, RMSD and quantiles of the
-absolute errors) plus a chi-squared check of stated error uncertainties.
-Two quantile estimators are provided: the Harrell-Davis estimator (a
-smooth combination of all order statistics, the default) and the classic
-interpolation estimator known as Q-hat-7.
+Covers the four benchmark scores: MSE, MUE, RMSD and quantiles of the
+absolute errors.  Two quantile estimators are provided: the Harrell-Davis
+estimator (a smooth combination of all order statistics, the default) and
+the classic interpolation estimator known as Q-hat-7.
 
 RMSD here is the sample standard deviation of the errors about their own
 mean (denominator N-1), not the root mean squared error about zero.
@@ -24,7 +23,6 @@ __all__ = [
     "weighted_sums",
     "quantile_hd",
     "quantile_type7",
-    "chi2_weighted",
 ]
 
 _KINDS = ("mse", "mue", "rmsd", "q")
@@ -268,22 +266,3 @@ def quantile_type7(x, q):
         return float(xs[-1])
     return float(_quantile("type7", q, x.size, lambda lo, hi: xs[None, lo:hi])[0])
 
-
-def chi2_weighted(errors, u, mean):
-    """Weighted chi-squared of the residuals about `mean` (Birge test).
-
-    Returns (chi2w, consistent); `consistent` is True when chi2w lies in
-    the central 95% interval of chi-squared with N-1 degrees of freedom.
-    Values below the interval signal over-estimated uncertainties, values
-    above an excess of variance in the errors.
-    """
-    from scipy.special import chdtri
-    e = np.asarray(errors, dtype=float)
-    uu = np.asarray(u, dtype=float)
-    if e.size < 2:
-        raise ValueError("need at least 2 entries")
-    if np.any(uu <= 0):
-        raise ValueError("all uncertainties must be > 0")
-    chi2 = float((((e - mean) / uu) ** 2).sum())
-    lo, hi = chdtri(e.size - 1, [0.975, 0.025])  # upper-tail probabilities
-    return chi2, bool(lo <= chi2 <= hi)

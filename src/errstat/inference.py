@@ -151,13 +151,18 @@ def diff_sample(e1, e2, kind, plan):
     return stats[:, 0] - stats[:, 1]
 
 
+def _normal_p(s1, s2, u):
+    """(xi, two-sided normal p-value) for the discrepancy xi = |s1-s2| / u."""
+    from scipy.special import ndtr
+    xi = abs(s1 - s2) / u
+    return xi, float(2.0 * (1.0 - ndtr(xi)))
+
+
 def p_t_value(s1, s2, u_diff):
     """Normal-theory p-value from the discrepancy xi = |s1-s2| / u(s1-s2)."""
     if u_diff <= 0.0:
         raise ValueError("degenerate uncertainty: u(s1-s2) must be > 0")
-    from scipy.special import ndtr
-    xi = abs(s1 - s2) / u_diff
-    return xi, float(2.0 * (1.0 - ndtr(xi)))
+    return _normal_p(s1, s2, u_diff)
 
 
 def p_unc_value(s1, s2, u1, u2):
@@ -169,9 +174,7 @@ def p_unc_value(s1, s2, u1, u2):
     denom = np.hypot(u1, u2)
     if denom <= 0.0:
         raise ValueError("degenerate uncertainty: u1 and u2 are both zero")
-    from scipy.special import ndtr
-    xi = abs(s1 - s2) / denom
-    return xi, float(2.0 * (1.0 - ndtr(xi)))
+    return _normal_p(s1, s2, denom)
 
 
 def generalized_p(d):
@@ -253,17 +256,11 @@ class PairComparison:
         }
 
 
-def _warn_small_n(n, kind):
-    if kind.kind == "mue" and n < MIN_N_MUE:
+def _warn_small_n(n, kind, task, results):
+    need = {"mue": MIN_N_MUE, "q": MIN_N_QUANTILE}.get(kind.kind, 0)
+    if n < need:
         warnings.warn(
-            f"N={n} is small for MUE comparisons (N>={MIN_N_MUE} recommended); "
-            "p-values may be unreliable",
-            stacklevel=3,
-        )
-    if kind.kind == "q" and n < MIN_N_QUANTILE:
-        warnings.warn(
-            f"N={n} is small for {kind.label} comparisons "
-            f"(N>={MIN_N_QUANTILE} recommended); p-values may be unreliable",
+            f"N={n} is small for {kind.label} {task} (N>={need} recommended); {results} may be unreliable",
             stacklevel=3,
         )
 
@@ -278,7 +275,7 @@ def compare_pair(matrix, i, j, kind, plan):
     ii, jj = matrix.index_of(i), matrix.index_of(j)
     if ii == jj:
         raise ValueError("cannot compare a method with itself")
-    _warn_small_n(matrix.n_systems, kind)
+    _warn_small_n(matrix.n_systems, kind, "comparisons", "p-values")
     e1 = matrix.errors[:, ii]
     e2 = matrix.errors[:, jj]
     s1 = evaluate(kind, e1)
@@ -366,7 +363,7 @@ def rank_probability_matrix(matrix, kind, plan, orientation=LOWER_IS_RANK1):
     k = matrix.n_methods
     if k < 2:
         raise ValueError("need at least 2 methods")
-    _warn_small_n(matrix.n_systems, kind)
+    _warn_small_n(matrix.n_systems, kind, "rankings", "rank probabilities")
     stats = replicate_stats(matrix.errors, kind, plan)
     key = stats if orientation == LOWER_IS_RANK1 else -stats
     order = np.argsort(key, axis=1, kind="stable")

@@ -123,6 +123,13 @@ def test_small_n_warning_is_one_plain_stderr_line(data, capsys):
     ]
 
 
+def test_small_n_warning_of_rank_names_rank_probabilities(data, capsys):
+    assert run(["rank", data, "--stat", "q95", "--boot", "100"]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: N=10 is small for Q95 rankings (N>=60 recommended); rank probabilities may be unreliable"
+    ]
+
+
 def test_sip_matrix_and_svg(data, tmp_path):
     svg_path = tmp_path / "sip.svg"
     assert run(["sip", data, "--svg", str(svg_path), "--boot", "200"]) == 0
@@ -216,6 +223,34 @@ def test_simulate_gh_takes_one_size(tmp_path, capsys):
     assert not json_out.exists()
     assert run(["simulate", "gh", "--n", "12", "--json", str(json_out)]) == 0
     assert len(json.loads(json_out.read_text())["report"]["values"]) == 12
+
+
+@pytest.mark.parametrize("shape", [["--g", "1e-200"], ["--g", "1e-4"], ["--g", "0.01", "--h", "0.45"]])
+def test_simulate_gh_small_g_is_finite_and_quiet(tmp_path, capsys, shape):
+    json_out = tmp_path / "gh.json"
+    assert run(["simulate", "gh", *shape, "--n", "5", "--json", str(json_out)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert "nan" not in out
+    values = json.loads(json_out.read_text())["report"]["values"]
+    assert len(values) == 5 and np.all(np.isfinite(values))
+
+
+@pytest.mark.parametrize(
+    "shape, message",
+    [
+        (["--g", "20"], "g=20, h=0"),
+        (["--g", "30"], "g=30, h=0"),
+        (["--h", "0.5"], "g-and-h variance is infinite for h >= 0.5 (got h=0.5)"),
+    ],
+)
+def test_simulate_gh_infinite_variance_exits_2(tmp_path, capsys, shape, message):
+    json_out, csv_out = tmp_path / "gh.json", tmp_path / "gh.csv"
+    assert run(["simulate", "gh", *shape, "--n", "5", "--json", str(json_out), "--csv", str(csv_out)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and message in err and len(err.splitlines()) == 1
+    assert not json_out.exists() and not csv_out.exists()
 
 
 def test_simulate_type1(tmp_path, capsys):

@@ -6,7 +6,6 @@ from scipy import integrate
 
 from errstat.estimators import (
     StatKind,
-    chi2_weighted,
     evaluate,
     evaluate_resampled,
     evaluate_rows,
@@ -206,61 +205,3 @@ def test_hd_and_type7_agree_on_large_normal_median():
             hits += 1
     assert hits >= 19
 
-
-# ------------------------------------------------------------ chi2 weighted
-
-def test_chi2_weighted_arithmetic():
-    chi2, _ = chi2_weighted(np.array([1.0, -1.0]), np.array([1.0, 1.0]), 0.0)
-    assert chi2 == pytest.approx(2.0)
-
-
-def test_chi2_overestimated_uncertainties_flagged():
-    e = np.array([0.01, -0.01, 0.02, 0.0, -0.02])
-    chi2, consistent = chi2_weighted(e, np.full(5, 100.0), float(e.mean()))
-    assert chi2 < 1e-4
-    assert not consistent
-
-
-def test_chi2_mean_matches_dof_monte_carlo():
-    # Monte Carlo oracle: with e_i ~ N(0, u_i), E[chi2_w] = N - 1 about
-    # the inverse-variance weighted mean
-    rng = np.random.default_rng(42)
-    n = 8
-    u = rng.uniform(0.5, 2.0, size=n)
-    w = u**-2.0 / (u**-2.0).sum()
-    reps = 10_000
-    samples = rng.normal(size=(reps, n)) * u
-    chi2s = [chi2_weighted(s, u, float(w @ s))[0] for s in samples]
-    assert np.mean(chi2s) == pytest.approx(n - 1, rel=0.02)
-
-
-DOF_GRID = [1, 2, 3, 4, 5, 7, 10, 19, 30, 50, 99, 100, 250, 1000, 4999, 20000]
-
-
-@pytest.mark.parametrize("df", DOF_GRID)
-def test_chi2_bounds_match_scipy_stats(df):
-    # The Birge bounds use scipy.special.chdtri (upper-tail inverse) so
-    # that scipy.stats stays off the import path; they must agree with
-    # the lower-tail quantile function of scipy.stats.chi2.
-    from scipy.special import chdtri
-    from scipy.stats import chi2
-
-    np.testing.assert_allclose(
-        chdtri(df, [0.975, 0.025]), chi2.ppf([0.025, 0.975], df), rtol=1e-13, atol=0.0
-    )
-
-
-@pytest.mark.parametrize("df", DOF_GRID)
-def test_chi2_weighted_flag_matches_scipy_stats_bounds(df):
-    # chi2 placed just inside and just outside each scipy.stats bound
-    from scipy.stats import chi2
-
-    lo, hi = chi2.ppf([0.025, 0.975], df)
-    rng = np.random.default_rng(df)
-    e = rng.normal(size=df + 1)
-    ss = float(((e - e.mean()) ** 2).sum())
-    for target, expected in ((lo * 0.999, False), (lo * 1.001, True), (hi * 0.999, True), (hi * 1.001, False)):
-        u = np.full(e.size, np.sqrt(ss / target))
-        value, consistent = chi2_weighted(e, u, float(e.mean()))
-        assert value == pytest.approx(target, rel=1e-12)
-        assert consistent is expected

@@ -86,7 +86,7 @@ DIGESTS = {'stats_mue': {'stdout': '14fb68094101bad69d8921f90643f935b12805626eed
               'csv': '07dce046b1a222e1724bf553fbe97e1731839103f3c978016999481664aa0f1c',
               'svg': 'eb699dda888d9f260ecf1cd9e5396852ae4b240acbc31efd340d94cc77cdbcac'},
  'rank_q95_nprime': {'stdout': '61e61b39a5b0d5c03d0f07803fbf1c45549348703a9a7b821a1357b124a6209c',
-                     'stderr': '674163be7bb8a244dede7348d31293999bb3580446b8b31e00ecf563234729c8',
+                     'stderr': '65987d20eb7cc83424b951803466deb51dfd02cb719fd740d5066b9d64992f2f',
                      'json': '5485b9144980ad2964869403f2385a27472152a95ddb45cf612bde891a13c4f8'},
  'rank_rmsd_higher': {'stdout': '28ed5260b2fce8cc452d7a491e85739c6b683deb52db6438b0a948919df92bd4',
                       'stderr': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
@@ -118,8 +118,8 @@ DIGESTS = {'stats_mue': {'stdout': '14fb68094101bad69d8921f90643f935b12805626eed
                          'svg': '487452257c28372b9bd25550b832b6745cb2f5301502c1818317d510523e4810'},
  'simulate_gh': {'stdout': '5009f9051387b7ca183de5ee99c9ce6786a41eaaf9ddf2b4743456b1ba032fd3',
                  'stderr': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-                 'json': 'fe9be845c833b47d551b54d2c350dc5b99a7d5d6a7855a26b3689c8c75dd7e53',
-                 'csv': 'f522fb372627629d98a7aabbb96867c4a9941bfbe2700109cb4d18653772d42a'},
+                 'json': '73d0fabecb2e9731199fd397a11e0fd130461e99cd021b10f78d4e8722be225e',
+                 'csv': '10e31b1ddb0d80892eaaa057c607b2c4c514874e1ec6626a31fe0b4428e72622'},
  'simulate_type1_mue': {'stdout': '6124ee4be727948a8c7b5eb19c74601804183594a08da2e76fb1abae1ee8689a',
                         'stderr': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                         'json': '1a8c7d5234f36afcef39aa65b8d91676d7af9b4ab4867f8a881dad7807998a66'},

@@ -1,11 +1,13 @@
 import ast
 import os
+import pathlib
 import subprocess
 import sys
 
 import numpy as np
 
 import errstat
+from errstat.simulation import SCENARIOS
 
 
 def _heavy_modules_after(statement):
@@ -25,12 +27,32 @@ def test_cli_cold_import_skips_heavy_scipy_subpackages():
 
 
 def test_normal_scenario_needs_no_quadrature():
-    # The standard normal has exact moments, so g = h = 0 never imports
-    # scipy.integrate; only skewed or heavy-tailed scenarios pay for it.
-    assert _heavy_modules_after("import errstat.cli; errstat.cli.run(['simulate', 'gh', '--n', '10'])") == "[]"
-    assert "scipy.integrate" in _heavy_modules_after(
-        "import errstat.cli; errstat.cli.run(['simulate', 'gh', '--n', '10', '--h', '0.1'])"
-    )
+    # The g-and-h moments are closed forms, so no shape, normal or not,
+    # loads scipy.integrate (or scipy.stats).
+    runs = [
+        f"assert errstat.cli.run(['simulate', 'gh', '--n', '10', '--g', '{p.g}', '--h', '{p.h}']) == 0"
+        for p in SCENARIOS.values()
+    ]
+    runs.append("assert errstat.cli.run(['simulate', 'gh', '--n', '10', '--g', '1e-4', '--h', '0.45']) == 0")
+    assert _heavy_modules_after("import errstat.cli; " + "; ".join(runs)) == "[]"
+
+
+def test_no_errstat_module_imports_scipy_integrate_or_stats():
+    # Static guard: the closed forms and scipy.special cover everything the
+    # package computes, so neither heavy subpackage may be imported again.
+    banned = ("scipy.integrate", "scipy.stats")
+    package = pathlib.Path(errstat.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {n}" for n in names if n.startswith(banned)]
+    assert not found, found
 
 
 def _scipy_modules_after(statement):
@@ -42,8 +64,8 @@ def _scipy_modules_after(statement):
 
 def test_scipy_special_is_loaded_only_by_the_commands_that_call_it(tmp_path):
     # scipy.special is about half of a cold start.  Only Harrell-Davis
-    # quantiles, compare's p-values and chi2_weighted need it, each
-    # importing it on first call.
+    # quantiles, compare's p-values and the population statistics of the
+    # normal need it, each importing it on first call.
     rows = np.random.default_rng(0).normal(size=(40, 4)).tolist()
     table = tmp_path / "t.csv"
     lines = ["System,Ref,M1,M2,M3"] + [f"s{i}," + ",".join(map(repr, r)) for i, r in enumerate(rows)]
@@ -61,5 +83,3 @@ def test_scipy_special_is_loaded_only_by_the_commands_that_call_it(tmp_path):
     )
     assert "scipy.special" in run_after_import(["stats", t, "--stat", "q95"])
     assert "scipy.special" in run_after_import(["compare", t, "--pair", "M1,M2", "--stat", "mue"])
-    chi2 = "from errstat.estimators import chi2_weighted; assert chi2_weighted([0.1, -0.2], [0.1, 0.2], 0) == (2, True)"
-    assert "scipy.special" in _scipy_modules_after(chi2)

@@ -69,6 +69,32 @@ def test_gh_moments_match_closed_form():
         _gh_moments(0.0, 0.5)
 
 
+
+MPMATH_G = (0.0, 1e-300, 1e-200, 1e-160, 1e-100, 1e-20, 1e-8, 1e-4, 0.01, 0.1, 0.2, 0.5, 1.0)
+MPMATH_H = (0.0, 0.1, 0.2, 0.3, 0.45, 0.49)
+
+
+def test_gh_moments_match_mpmath():
+    # 60-digit evaluation of the same closed forms at the exact binary g
+    # and h; tiny g checks the expm1(x)/x form where g*g underflows.
+    import mpmath
+    from mpmath import mpf, sqrt
+
+    for g, h in ((g, h) for g in MPMATH_G for h in MPMATH_H):
+        with mpmath.workdps(60):
+            gm, hm = mpf(g), mpf(h)
+            c1, c2 = 1 - hm, 1 - 2 * hm
+            if g == 0.0:
+                ref_mean, second = mpf(0), c2 ** mpf(-1.5)
+            else:
+                ref_mean = mpmath.expm1(gm**2 / (2 * c1)) / (gm * sqrt(c1))
+                second = (mpmath.expm1(2 * gm**2 / c2) - 2 * mpmath.expm1(gm**2 / (2 * c2))) / (gm**2 * sqrt(c2))
+            ref_sd = sqrt(second - ref_mean**2)
+            mean, sd = _gh_moments(g, h)
+            assert abs(mean - ref_mean) <= 1e-14 * abs(ref_mean), (g, h, mean, ref_mean)
+            assert abs(sd - ref_sd) <= 1e-14 * ref_sd, (g, h, sd, ref_sd)
+
+
 def test_gh_params_validation():
     with pytest.raises(ValueError):
         GHParams(g=-0.1)
