@@ -205,3 +205,21 @@ def test_hd_and_type7_agree_on_large_normal_median():
             hits += 1
     assert hits >= 19
 
+
+
+# ------------------------------------------------------------ chi2 bounds
+
+DOF_GRID = [1, 2, 3, 4, 5, 7, 10, 19, 30, 50, 99, 100, 250, 1000, 4999, 20000]
+
+
+@pytest.mark.parametrize("df", DOF_GRID)
+def test_chi2_bounds_match_scipy_stats(df):
+    # The central 95% chi-squared interval from scipy.special.chdtri
+    # (upper-tail inverse), which keeps scipy.stats off the import path,
+    # must agree with the lower-tail quantile function of scipy.stats.chi2.
+    from scipy.special import chdtri
+    from scipy.stats import chi2
+
+    np.testing.assert_allclose(
+        chdtri(df, [0.975, 0.025]), chi2.ppf([0.025, 0.975], df), rtol=1e-13, atol=0.0
+    )
