@@ -8,6 +8,7 @@ graphical outputs.  Exit codes: 0 success, 2 input/validation error,
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 import warnings
@@ -43,9 +44,24 @@ def _load_matrix(path):
     return errors_from_table(load_table(path))
 
 
+def _json_default(obj):
+    """JSON form of a report object: a dataclass by its fields, a StatKind by its label.
+
+    Arrays become nested lists; in a float array NaN marks an undefined
+    entry (such as MG where SIP is zero) and becomes null.
+    """
+    if isinstance(obj, StatKind):
+        return obj.label
+    if dataclasses.is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, np.ndarray):
+        return (np.where(np.isnan(obj), None, obj) if obj.dtype.kind == "f" else obj).tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def _write_json(path, command, report):
     payload = {"schema_version": SCHEMA_VERSION, "command": command, "report": report}
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False, default=_json_default) + "\n")
 
 
 def _write_text(path, text):
@@ -72,6 +88,14 @@ def _print_grid(title, labels, values, fmt="{:8.3f}"):
         print(f"{label:>{width}}" + cells)
 
 
+def _write_grid(args, labels, values, glyph, columns):
+    """Write a labelled K x K matrix as the --svg figure and the --csv table."""
+    if args.svg:
+        _write_text(args.svg, render.render_matrix(values, labels, glyph, args.size))
+    if args.csv:
+        _write_csv(args.csv, ("method", *columns), [(label, *map(float, row)) for label, row in zip(labels, values)])
+
+
 def cmd_stats(args):
     matrix = _load_matrix(args.data)
     kind = _statkind(args)
@@ -88,9 +112,7 @@ def cmd_stats(args):
     if args.csv:
         _write_csv(args.csv, ("method", kind.label.lower(), "se"),
                    [(r["method"], r["value"], r["se"]) for r in rows])
-    if args.json:
-        _write_json(args.json, "stats", {"stat": kind.label, "n_systems": matrix.n_systems, "per_method": rows})
-    return 0
+    return "stats", {"stat": kind.label, "n_systems": matrix.n_systems, "per_method": rows}
 
 
 def _split_pair(text, matrix):
@@ -122,12 +144,10 @@ def cmd_compare(args):
     if comp.degenerate:
         print("  note: s1 == s2, comparison is degenerate (P_inv = 0.5 by convention)")
     if args.csv:
-        d = comp.to_dict()
+        d = _json_default(comp) | {"stat": kind.label}
         d["method_1"], d["method_2"] = d.pop("methods")
         _write_csv(args.csv, tuple(d), [tuple(d.values())])
-    if args.json:
-        _write_json(args.json, "compare", comp.to_dict())
-    return 0
+    return "compare", comp
 
 
 def cmd_sip(args):
@@ -162,9 +182,7 @@ def cmd_sip(args):
             _write_text(args.abs_ecdf, svg)
         if args.csv:
             _write_csv(args.csv, ("system", "delta", "ecdf", "band_lo", "band_hi"), list(report.rows()))
-        if args.json:
-            _write_json(args.json, "sip-pair", report.to_dict())
-        return 0
+        return "sip-pair", report
 
     report = sip_matrix(matrix)
     order = report.order
@@ -172,13 +190,8 @@ def cmd_sip(args):
     sip_sorted = report.sip[np.ix_(order, order)]
     _print_grid(f"SIP matrix (N={report.n_systems}, rows ordered by decreasing MSIP)", labels, sip_sorted, "{:6.3f}")
     print("MSIP: " + "  ".join(f"{report.labels[i]}={report.msip[i]:.3f}" for i in order))
-    if args.svg:
-        _write_text(args.svg, render.render_matrix(sip_sorted, labels, render.SIP_DISK, args.size))
-    if args.csv:
-        _write_csv(args.csv, ("method", *labels), [(labels[i], *map(float, sip_sorted[i])) for i in range(len(labels))])
-    if args.json:
-        _write_json(args.json, "sip", report.to_dict())
-    return 0
+    _write_grid(args, labels, sip_sorted, render.SIP_DISK, labels)
+    return "sip", report
 
 
 def cmd_corr(args):
@@ -191,14 +204,8 @@ def cmd_corr(args):
         values = np.column_stack([table.methods[m] for m in table.method_names])
         corr = correlation_matrix(values, method=method, labels=table.method_names)
     _print_grid(f"{method} correlation of {args.on}", corr.labels, corr.values, "{:6.2f}")
-    if args.svg:
-        _write_text(args.svg, render.render_matrix(corr.values, corr.labels, render.CORR_ELLIPSE, args.size))
-    if args.csv:
-        _write_csv(args.csv, ("method", *corr.labels),
-                   [(corr.labels[i], *map(float, corr.values[i])) for i in range(len(corr.labels))])
-    if args.json:
-        _write_json(args.json, "corr", corr.to_dict())
-    return 0
+    _write_grid(args, corr.labels, corr.values, render.CORR_ELLIPSE, corr.labels)
+    return "corr", corr
 
 
 def cmd_rank(args):
@@ -217,17 +224,8 @@ def cmd_rank(args):
     for entry in rm.summary:
         lo, hi = entry.interval
         print(f"  {entry.label:>16}: {entry.mode} (p={entry.mode_probability:.3f}) [{lo}, {hi}]")
-    if args.svg:
-        _write_text(args.svg, render.render_matrix(rm.p, rm.labels, render.RANK_HEATMAP, args.size))
-    if args.csv:
-        _write_csv(
-            args.csv,
-            ("method", *[f"rank{k + 1}" for k in range(len(rm.labels))]),
-            [(rm.labels[j], *map(float, rm.p[j])) for j in range(len(rm.labels))],
-        )
-    if args.json:
-        _write_json(args.json, "rank", rm.to_dict())
-    return 0
+    _write_grid(args, rm.labels, rm.p, render.RANK_HEATMAP, [f"rank{k + 1}" for k in range(len(rm.labels))])
+    return "rank", rm
 
 
 def _scenarios(text):
@@ -255,9 +253,10 @@ def _study_outputs(args, result):
     _print_study(result)
     if args.csv:
         _write_csv(args.csv, result.columns, result.rows)
-    if args.json:
-        _write_json(args.json, f"simulate-{result.study}", result.to_dict())
-    return 0
+    report = _json_default(result)
+    if not result.extra:
+        del report["extra"]
+    return f"simulate-{result.study}", report
 
 
 def cmd_simulate(args):
@@ -265,6 +264,8 @@ def cmd_simulate(args):
         if len(args.n) != 1:
             raise ValidationError(f"simulate gh takes one --n size, got {','.join(map(str, args.n))}")
         n = args.n[0]
+        if n < 2:
+            raise ValidationError(f"simulate gh needs --n of at least 2, got {n}")
         params = simulation.GHParams(g=args.g, h=args.h, mu=args.mu, sigma=args.sigma)
         rng = np.random.default_rng(np.random.SeedSequence(args.seed & ((1 << 64) - 1)))
         sample = simulation.gh_sample(params, n, rng)
@@ -273,18 +274,7 @@ def cmd_simulate(args):
         print(f"  min = {sample.min():.5g}   max = {sample.max():.5g}")
         if args.csv:
             _write_csv(args.csv, ("value",), [(v,) for v in sample])
-        if args.json:
-            _write_json(
-                args.json,
-                "simulate-gh",
-                {
-                    "params": params.to_dict(),
-                    "n": n,
-                    "seed": args.seed,
-                    "values": [float(v) for v in sample],
-                },
-            )
-        return 0
+        return "simulate-gh", {"params": params, "n": n, "seed": args.seed, "values": sample}
 
     config = simulation.StudyConfig(
         n_values=tuple(args.n),
@@ -395,7 +385,10 @@ def run(argv):
     with warnings.catch_warnings():  # one plain stderr line per warning
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
-            return args.func(args)
+            command, report = args.func(args)
+            if args.json:
+                _write_json(args.json, command, report)
+            return 0
         except (ValidationError, ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

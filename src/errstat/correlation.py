@@ -58,13 +58,6 @@ class CorrMatrix:
     labels: list
     method: str
 
-    def to_dict(self):
-        return {
-            "labels": list(self.labels),
-            "method": self.method,
-            "values": [[float(v) for v in row] for row in self.values],
-        }
-
 
 def correlation_matrix(data, method="spearman", labels=None):
     """Pairwise correlations of the columns of `data`.

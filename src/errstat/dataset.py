@@ -234,7 +234,12 @@ def errors_from_table(table):
     uncertainties are extremely spread is flagged with a warning.
     """
     names = table.method_names
-    errors = np.column_stack([table.reference - table.methods[m] for m in names])
+    with np.errstate(over="ignore"):
+        errors = np.column_stack([table.reference - table.methods[m] for m in names])
+    bad = np.argwhere(~np.isfinite(errors))
+    if bad.size:
+        i, j = bad[0]
+        raise ValidationError(f"system {table.system_ids[i]!r}: error Ref - {names[j]!r} is not finite")
     _screen_uncertainty_spread(table)
     return ErrorMatrix(errors=errors, method_names=names, system_ids=list(table.system_ids))
 

@@ -219,8 +219,7 @@ class PairComparison:
     the inversion probability is 0.5 by convention.
     """
 
-    label_1: str
-    label_2: str
+    methods: tuple
     stat: StatKind
     s1: float
     s2: float
@@ -235,25 +234,6 @@ class PairComparison:
     p_inv: float
     n_zero_diffs: int
     degenerate: bool
-
-    def to_dict(self):
-        return {
-            "methods": [self.label_1, self.label_2],
-            "stat": self.stat.label,
-            "s1": self.s1,
-            "s2": self.s2,
-            "u1": self.u1,
-            "u2": self.u2,
-            "u_diff": self.u_diff,
-            "xi": self.xi,
-            "p_t": self.p_t,
-            "xi_unc": self.xi_unc,
-            "p_unc": self.p_unc,
-            "p_g": self.p_g,
-            "p_inv": self.p_inv,
-            "n_zero_diffs": self.n_zero_diffs,
-            "degenerate": self.degenerate,
-        }
 
 
 def _warn_small_n(n, kind, task, results):
@@ -291,8 +271,7 @@ def compare_pair(matrix, i, j, kind, plan):
     if u1 > 0.0 or u2 > 0.0:
         xi_unc, p_unc = p_unc_value(s1, s2, u1, u2)
     return PairComparison(
-        label_1=matrix.method_names[ii],
-        label_2=matrix.method_names[jj],
+        methods=(matrix.method_names[ii], matrix.method_names[jj]),
         stat=kind,
         s1=s1,
         s2=s2,
@@ -319,14 +298,6 @@ class RankEntry:
     mode_probability: float
     interval: tuple
 
-    def to_dict(self):
-        return {
-            "label": self.label,
-            "mode": self.mode,
-            "mode_probability": self.mode_probability,
-            "interval": list(self.interval),
-        }
-
 
 @dataclass(frozen=True)
 class RankMatrix:
@@ -337,15 +308,6 @@ class RankMatrix:
     stat: StatKind
     orientation: str
     summary: list
-
-    def to_dict(self):
-        return {
-            "labels": list(self.labels),
-            "stat": self.stat.label,
-            "orientation": self.orientation,
-            "p": [[float(v) for v in row] for row in self.p],
-            "summary": [s.to_dict() for s in self.summary],
-        }
 
 
 def rank_probability_matrix(matrix, kind, plan, orientation=LOWER_IS_RANK1):

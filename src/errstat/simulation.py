@@ -61,9 +61,6 @@ class GHParams:
             base += f",mu={self.mu:g},sigma={self.sigma:g}"
         return base
 
-    def to_dict(self):
-        return {"g": self.g, "h": self.h, "mu": self.mu, "sigma": self.sigma}
-
 
 # The four shapes of Wilcox and Erceg-Hurn: normal, heavy-tailed
 # symmetric, light-tailed asymmetric, heavy-tailed asymmetric.
@@ -208,17 +205,6 @@ class StudyConfig:
         if any(not -1.0 <= r <= 1.0 for r in self.rho_values):
             raise ValueError("correlations must be in [-1, 1]")
 
-    def to_dict(self):
-        return {
-            "n_values": list(self.n_values),
-            "rho_values": list(self.rho_values),
-            "reps": self.reps,
-            "B": self.B,
-            "gh_scenarios": [s.to_dict() for s in self.gh_scenarios],
-            "seed": self.seed,
-            "statistic": None if self.statistic is None else self.statistic.label,
-        }
-
 
 @dataclass(frozen=True)
 class StudyResult:
@@ -229,15 +215,6 @@ class StudyResult:
     rows: list
     config: StudyConfig
     extra: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return {
-            "study": self.study,
-            "config": self.config.to_dict(),
-            "columns": list(self.columns),
-            "rows": [list(r) for r in self.rows],
-            **({"extra": self.extra} if self.extra else {}),
-        }
 
 
 def _cell_rng(seed, *path):

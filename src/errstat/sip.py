@@ -66,21 +66,6 @@ class SipReport:
     labels: list
     n_systems: int
 
-    def to_dict(self):
-        def grid(m):
-            return [[None if np.isnan(v) else float(v) for v in row] for row in m]
-
-        return {
-            "labels": list(self.labels),
-            "n_systems": self.n_systems,
-            "sip": grid(self.sip),
-            "mg": grid(self.mg),
-            "ml": grid(self.ml),
-            "ties": [[int(v) for v in row] for row in self.ties],
-            "msip": [float(v) for v in self.msip],
-            "order": list(self.order),
-        }
-
 
 def sip_matrix(matrix):
     """Pairwise SIP/MG/ML report for an ErrorMatrix (K >= 2 methods)."""
@@ -146,9 +131,6 @@ class ScalarWithCI:
     lo: float | None
     hi: float | None
 
-    def to_dict(self):
-        return {"value": self.value, "lo": self.lo, "hi": self.hi}
-
 
 @dataclass(frozen=True)
 class DeltaEcdfReport:
@@ -173,22 +155,6 @@ class DeltaEcdfReport:
     delta_mue: ScalarWithCI
     ties: int
     uncertainty_bar: float | None = None
-
-    def to_dict(self):
-        return {
-            "labels": list(self.labels),
-            "deltas": [float(v) for v in self.deltas],
-            "ecdf": [float(v) for v in self.ecdf],
-            "band_lo": [float(v) for v in self.band_lo],
-            "band_hi": [float(v) for v in self.band_hi],
-            "system_ids": self.system_ids,
-            "sip": self.sip.to_dict(),
-            "mg": self.mg.to_dict(),
-            "ml": self.ml.to_dict(),
-            "delta_mue": self.delta_mue.to_dict(),
-            "ties": self.ties,
-            "uncertainty_bar": self.uncertainty_bar,
-        }
 
     def rows(self):
         """One (system_id, delta, ecdf, band_lo, band_hi) row per system."""

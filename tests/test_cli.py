@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import xml.etree.ElementTree as ET
 
@@ -8,6 +9,7 @@ from errstat.cli import _write_json, run
 from errstat.dataset import errors_from_table, load_table
 from errstat.estimators import StatKind, evaluate
 from errstat.inference import BootstrapPlan, bootstrap_se
+from errstat.sip import SipReport
 
 CSV = """System,Ref,M1,M2,M3
 s01,1.00,0.95,1.10,1.02
@@ -69,6 +71,36 @@ def test_non_finite_cell_exits_2_naming_row_and_column(tmp_path, capsys):
 def test_json_reports_refuse_nan(tmp_path):
     with pytest.raises(ValueError):
         _write_json(str(tmp_path / "r.json"), "stats", {"value": float("nan")})
+
+
+def test_json_reports_refuse_inf_in_a_float_array(tmp_path):
+    with pytest.raises(ValueError):
+        _write_json(str(tmp_path / "r.json"), "corr", {"values": np.array([[1.0, np.inf], [0.5, 1.0]])})
+
+
+def test_json_report_keys_are_the_report_fields(data, tmp_path):
+    out = tmp_path / "sip.json"
+    assert run(["sip", data, "--json", str(out)]) == 0
+    report = json.loads(out.read_text())["report"]
+    assert set(report) == {f.name for f in dataclasses.fields(SipReport)}
+    k = len(report["labels"])
+    for name in ("mg", "ml"):  # undefined on the diagonal: NaN in the report, null in JSON
+        assert [report[name][i][i] for i in range(k)] == [None] * k
+
+
+@pytest.mark.parametrize("argv", [["stats"], ["compare", "--pair", "M1,M2"], ["rank"], ["sip", "--pair", "M1,M2"]])
+def test_error_that_overflows_exits_2_naming_system_and_column(tmp_path, capsys, argv):
+    # Both cells are finite, but Ref - M1 = 2e308 is not.
+    path = tmp_path / "overflow.csv"
+    path.write_text(CSV.replace("s01,1.00,0.95,", "a,1e308,-1e308,"))
+    out = tmp_path / "report.json"
+    assert run([argv[0], str(path), *argv[1:], "--boot", "100", "--json", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "'a'" in lines[0] and "'M1'" in lines[0]
+    assert not out.exists()
 
 
 def test_compare_pair(data, capsys):
@@ -223,6 +255,16 @@ def test_simulate_gh_takes_one_size(tmp_path, capsys):
     assert not json_out.exists()
     assert run(["simulate", "gh", "--n", "12", "--json", str(json_out)]) == 0
     assert len(json.loads(json_out.read_text())["report"]["values"]) == 12
+
+
+@pytest.mark.parametrize("n", ["1", "0", "-3"])
+def test_simulate_gh_rejects_fewer_than_two_values(tmp_path, capsys, n):
+    json_out, csv_out = tmp_path / "gh.json", tmp_path / "gh.csv"
+    assert run(["simulate", "gh", "--n", n, "--json", str(json_out), "--csv", str(csv_out)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and f"at least 2, got {n}" in err and len(err.splitlines()) == 1
+    assert not json_out.exists() and not csv_out.exists()
 
 
 @pytest.mark.parametrize("shape", [["--g", "1e-200"], ["--g", "1e-4"], ["--g", "0.01", "--h", "0.45"]])

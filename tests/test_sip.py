@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from errstat.cli import run
 from errstat.dataset import ErrorMatrix
 from errstat.inference import BootstrapPlan
 from errstat.sip import (
@@ -192,11 +195,16 @@ def test_delta_ecdf_sip_interval_coverage():
     assert covered / reps >= 0.90
 
 
-def test_delta_ecdf_serialization():
+def test_delta_ecdf_serialization(tmp_path):
     rng = np.random.default_rng(53)
-    report = delta_ecdf(rng.normal(size=10), rng.normal(size=10),
-                        BootstrapPlan(B=150, seed=5), uncertainty_bar=0.2)
-    d = report.to_dict()
+    e1, e2 = rng.normal(size=10), rng.normal(size=10)
+    table = tmp_path / "pair.csv"
+    rows = [f"s{i},0,{-a!r},{-b!r}" for i, (a, b) in enumerate(zip(e1.tolist(), e2.tolist()))]
+    table.write_text("\n".join(["System,Ref,M1,M2", *rows]) + "\n")
+    out = tmp_path / "pair.json"
+    argv = ["sip", str(table), "--pair", "M1,M2", "--boot", "150", "--seed", "5", "--ubar", "0.2", "--json", str(out)]
+    assert run(argv) == 0
+    d = json.loads(out.read_text())["report"]
     assert d["uncertainty_bar"] == 0.2
     assert len(d["deltas"]) == 10
     assert set(d["sip"]) == {"value", "lo", "hi"}

@@ -52,3 +52,15 @@ def test_public_names_exist_and_are_used(module):
     library = _library_section()
     unused = [name for name in public if name not in used and not re.search(rf"\b{re.escape(name)}\b", library)]
     assert not unused, f"errstat.{module} exports names nothing uses or documents: {unused}"
+
+
+def test_no_class_defines_to_dict():
+    # Reports become JSON through one encoder in the CLI, built from their dataclass fields.
+    offenders = [
+        f"{path.stem}.{node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(item, ast.FunctionDef) and item.name == "to_dict" for item in node.body)
+    ]
+    assert not offenders, f"classes with a hand-written to_dict: {offenders}"
