@@ -26,6 +26,9 @@ __all__ = [
 # Warn when the spread of error uncertainties within a column exceeds this
 # ratio (max over median); such datasets break the i.i.d. bootstrap premise.
 EXTREME_UNCERTAINTY_RATIO = 10.0
+# RMSD and every standard error sum squared deviations, each below 4e300, over
+# rows or replicates: far fewer than the 4e7 terms that would overflow a double.
+_MAX_ABS_ERROR = 1e150
 
 
 class ValidationError(ValueError):
@@ -236,10 +239,11 @@ def errors_from_table(table):
     names = table.method_names
     with np.errstate(over="ignore"):
         errors = np.column_stack([table.reference - table.methods[m] for m in names])
-    bad = np.argwhere(~np.isfinite(errors))
+    bad = np.argwhere(~(np.abs(errors) <= _MAX_ABS_ERROR))
     if bad.size:
         i, j = bad[0]
-        raise ValidationError(f"system {table.system_ids[i]!r}: error Ref - {names[j]!r} is not finite")
+        system, method = table.system_ids[i], names[j]
+        raise ValidationError(f"system {system!r}: |error Ref - {method!r}| exceeds {_MAX_ABS_ERROR:.0e}")
     _screen_uncertainty_spread(table)
     return ErrorMatrix(errors=errors, method_names=names, system_ids=list(table.system_ids))
 

@@ -210,37 +210,70 @@ def _rank_window(r, xs, lo, hi):
     """Values xs[r] of order statistics lo..hi-1 of each row of ranks r, sorted.
 
     Two single-kth np.partition calls cut each row to the window (one call
-    with two kths is far slower), and only the window is sorted.
+    with two kths is far slower), and only the window is sorted.  A cut
+    that would drop fewer order statistics than the window holds costs
+    more than sorting them along, and is skipped.
     """
-    if lo > 0:
-        r = np.partition(r, lo, axis=1)[:, lo:]
-    if hi - lo < r.shape[1]:
-        r = np.partition(r, hi - lo - 1, axis=1)[:, : hi - lo]
-    return xs[np.sort(r, axis=1)]
+    w, n = hi - lo, r.shape[1]
+    cut = lo if lo >= w else 0
+    if cut:
+        r = np.partition(r, cut, axis=1)[:, cut:]
+    if n - hi >= w:
+        r = np.partition(r, hi - cut - 1, axis=1)[:, : hi - cut]
+    return xs[np.sort(r, axis=1)[:, lo - cut : hi - cut]]
 
 
-# Beta(a, b) weight mass further than this many standard deviations from
-# the mean is far below double precision and is skipped for large samples.
-_HD_WINDOW_SD = 40.0
+@lru_cache(maxsize=1)
+def _gauss_legendre():
+    """16-point Gauss-Legendre nodes and weights on [-1, 1], built on first use."""
+    from numpy.polynomial.legendre import leggauss
+    return leggauss(16)
 
 
 @lru_cache(maxsize=128)
 def _hd_weights(n, q):
     """Harrell-Davis weights for sample size n at level q.
 
-    Returns (lo, w): w[k] is the weight of order statistic lo + k.  The
-    weights are increments of the Beta((n+1)q, (n+1)(1-q)) CDF over the
-    grid i/n; for large n only the window carrying non-negligible mass is
-    evaluated.
+    Returns (lo, w): w[k], the weight of order statistic lo + k, is the
+    Beta((n+1)q, (n+1)(1-q)) mass of the cell [(lo+k)/n, (lo+k+1)/n], in
+    units of the density at c, from the log density ratio L(t): 16-point
+    Gauss-Legendre on an inner cell, and on the cell [0, h] the positive
+    series h(1-h)/a e^L(h) 2F1(a+b, 1; a+1; h) (mirrored at 1).  c is the
+    mode, or the mean when a or b is below 2, where the mode may round onto
+    an end.  Cells with L below -100 at both edges (under 1e-40 of the
+    mass) are skipped, as every bootstrap replicate sorts the window, and
+    dividing by the sum of the masses needs no beta function.
     """
-    from scipy.special import betainc
-    a = (n + 1.0) * q
-    b = (n + 1.0) * (1.0 - q)
-    mean = a / (a + b)
-    sd = np.sqrt(a * b / ((a + b) ** 2 * (a + b + 1.0)))
-    lo = max(0, int(np.floor((mean - _HD_WINDOW_SD * sd) * n)))
-    hi = min(n, int(np.ceil((mean + _HD_WINDOW_SD * sd) * n)))
-    return lo, np.diff(betainc(a, b, np.arange(lo, hi + 1, dtype=float) / n))
+    if n == 1:  # one cell holds all the mass
+        return 0, np.ones(1)
+    a, b = (n + 1.0) * q, (n + 1.0) * (1.0 - q)
+    c = (a - 1.0) / (a + b - 2.0) if min(a, b) >= 2.0 else a / (a + b)
+
+    def log_ratio(t):  # log of the density at t over that at c; log1p near c
+        d = t - c
+        lt = np.where(np.abs(d) < c / 2, np.log1p(d / c), np.log(t / c))
+        lu = np.where(np.abs(d) < (1 - c) / 2, np.log1p(-d / (1 - c)), np.log((1 - t) / (1 - c)))
+        return (a - 1.0) * lt + (b - 1.0) * lu
+
+    with np.errstate(divide="ignore", invalid="ignore"):  # the ends t = 0, 1
+        edges = log_ratio(np.arange(n + 1) / n)
+    keep = np.flatnonzero(np.fmax(edges[:-1], edges[1:]) > -100.0)
+    lo, hi = int(keep[0]), int(keep[-1]) + 1
+    x = np.arange(lo, hi + 1) / n
+    nodes, gw = _gauss_legendre()
+    half = np.diff(x)[:, None] / 2
+    mass = (np.exp(log_ratio(x[:-1, None] + half * (1 + nodes))) * gw).sum(axis=1) * half[:, 0]
+    if lo == 0:
+        mass[0] = x[1] * (1 - x[1]) / a * np.exp(edges[1]) * _end_series(a, b, x[1])
+    if hi == n:  # 1 - x[-2] is exact, as x[-2] >= 1/2
+        mass[-1] = (1 - x[-2]) * x[-2] / b * np.exp(edges[-2]) * _end_series(b, a, 1 - x[-2])
+    return lo, mass / mass.sum()
+
+
+def _end_series(a, b, h):
+    """2F1(a+b, 1; a+1; h) for h <= 1/2: its positive terms fall below 1e-30 by the 128th."""
+    k = np.arange(128.0)
+    return 1.0 + np.cumprod((a + b + k) / (a + 1.0 + k) * h).sum()
 
 
 def quantile_hd(x, q):

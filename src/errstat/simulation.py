@@ -163,17 +163,19 @@ def population_folded_stats(mu, sigma, q=0.95):
     """Exact MSE/RMSD/MUE/Q95 of a normal error distribution.
 
     MUE is the folded-normal mean; the quantile of |X| is solved by
-    bisection on P(|X| <= x) = Phi((x-mu)/s) - Phi((-x-mu)/s).
+    bisection on P(|X| <= x) = Phi((x-mu)/s) - Phi((-x-mu)/s), with
+    Phi(x) = erfc(-x / sqrt 2) / 2.
     """
-    from scipy.special import ndtr
     if sigma <= 0:
         raise ValueError("sigma must be > 0")
-    mue = sigma * np.sqrt(2.0 / np.pi) * np.exp(-(mu**2) / (2.0 * sigma**2)) + mu * (
-        1.0 - 2.0 * ndtr(-mu / sigma)
-    )
+
+    def phi(x):
+        return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+    mue = sigma * np.sqrt(2.0 / np.pi) * np.exp(-(mu**2) / (2.0 * sigma**2)) + mu * (1.0 - 2.0 * phi(-mu / sigma))
 
     def folded_cdf(x):
-        return ndtr((x - mu) / sigma) - ndtr((-x - mu) / sigma)
+        return phi((x - mu) / sigma) - phi((-x - mu) / sigma)
 
     lo, hi = 0.0, abs(mu) + 20.0 * sigma
     while hi - lo > _FOLDED_Q_TOL:

@@ -103,6 +103,26 @@ def test_error_that_overflows_exits_2_naming_system_and_column(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["stats", "--stat", "rmsd"], ["compare", "--pair", "M1,M2", "--stat", "rmsd"], ["rank", "--stat", "rmsd"],
+     ["stats", "--stat", "mse"]],
+)
+def test_error_whose_square_overflows_exits_2_naming_system_and_column(tmp_path, capsys, argv):
+    # Ref - M1 = 2e300 is finite, but RMSD and the standard errors square it.
+    path = tmp_path / "huge.csv"
+    rows = [row.rsplit(",", 1)[0] for row in CSV.splitlines()] + ["s11,11.0,11.2,10.9", "s12,12.0,11.9,12.3"]
+    path.write_text("\n".join(rows + ["a,1e300,-1e300,1"]) + "\n")
+    out = tmp_path / "report.json"
+    assert run([argv[0], str(path), *argv[1:], "--boot", "100", "--json", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "'a'" in lines[0] and "'M1'" in lines[0]
+    assert not out.exists()
+
+
 def test_compare_pair(data, capsys):
     assert run(["compare", data, "--pair", "M1,M3", "--boot", "200", "--seed", "7"]) == 0
     out = capsys.readouterr().out

@@ -1,6 +1,7 @@
 import warnings
 from itertools import product
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -184,6 +185,19 @@ def test_p_t_examples():
     assert p == pytest.approx(0.0026997960632602, rel=1e-10)  # 2(1 - Phi(3))
     with pytest.raises(ValueError, match="degenerate"):
         p_t_value(1.0, 2.0, 0.0)
+
+
+@pytest.mark.parametrize("lo,hi,rel", [(0.0, 8.0, 1e-14), (8.0, 37.0, 2e-13)])
+def test_p_t_matches_mpmath_erfc_into_the_far_tail(lo, hi, rel):
+    # 2(1 - Phi(xi)) cancels to 0 beyond xi ~ 8; erfc keeps its relative
+    # accuracy.  Past 8 the bound grows because rounding xi / sqrt 2
+    # moves erfc by about xi^2 ulps.
+    for xi in np.linspace(lo, hi, 117):
+        got_xi, p = p_t_value(float(xi), 0.0, 1.0)
+        assert got_xi == xi
+        with mpmath.workdps(40):
+            ref = float(mpmath.erfc(mpmath.mpf(float(xi)) / mpmath.sqrt(2)))
+        assert p == pytest.approx(ref, rel=rel, abs=0)
 
 
 def test_p_unc_examples():

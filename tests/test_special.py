@@ -1,10 +1,12 @@
-"""The regularized incomplete beta behind the Harrell-Davis weights.
+"""The Harrell-Davis weights and the regularized incomplete beta they integrate.
 
-`estimators._hd_weights` takes the weights as increments of
-scipy.special.betainc, the CDF of Beta((n+1)q, (n+1)(1-q)), over the
-grid i/n.  The first tests hold that function to the accuracy the weights
-need; the last compares the weights' running sums with 30-digit mpmath
-values at the same floating-point grid points.
+`estimators._hd_weights` takes weight i as the Beta((n+1)q, (n+1)(1-q))
+mass of the cell [(i-1)/n, i/n], computed in the package by cell
+quadrature and normalized to sum 1.  scipy.special.betainc, that
+distribution's CDF, serves as an independent oracle: the first tests hold
+it to the accuracy the weights need, and the weights' running sums are
+compared with it and with 30-digit mpmath values at the same
+floating-point grid points.
 """
 
 from itertools import accumulate
@@ -79,8 +81,8 @@ def test_huge_shapes_stay_accurate_enough():
 
 
 def test_edges_and_validation():
-    # The weight window may run to either end of [0, 1]; the CDF is exact
-    # there, so the weights of a full window sum to 1 with no end fix-up.
+    # The weight window may run to either end of [0, 1], where the CDF is
+    # exact, and the weights of a full window sum to 1.
     for n, q in ((2, 0.5), (10, 0.05), (23, 0.95)):
         a, b = (n + 1) * q, (n + 1) * (1 - q)
         assert betainc(a, b, 0.0) == 0.0
@@ -101,12 +103,12 @@ def test_vectorized_matches_scalar():
     assert vec.shape == xs.shape
     for x, v in zip(xs, vec):
         assert v == betainc(3.5, 2.5, float(x))
-    # _hd_weights evaluates the grid as one array
+    # The running sums of the weights are CDF increments on the same grid.
     n, q = 23, 0.77
     lo, w = _hd_weights(n, q)
     a, b = (n + 1) * q, (n + 1) * (1 - q)
     cdf = [betainc(a, b, i / n) for i in range(lo, lo + w.size + 1)]
-    np.testing.assert_array_equal(w, np.diff(cdf))
+    np.testing.assert_allclose(np.cumsum(w), np.array(cdf[1:]) - cdf[0], rtol=0, atol=2e-15)
 
 
 def test_monotone_in_x():
@@ -147,8 +149,20 @@ def _mp_mass(a, b, x0, x1):
     raise AssertionError(f"quadrature did not converge on [{x0}, {x1}] for Beta({a}, {b})")
 
 
-@pytest.mark.parametrize("q", [0.05, 0.5, 0.95])
-@pytest.mark.parametrize("n", [2, 10, 23, 60, 100, 1000, 5000, 10**6])
+@pytest.mark.parametrize("n", [10, 23, 60, 100])
+@pytest.mark.parametrize("q", [0.001, 0.999])
+def test_hd_weights_sum_to_one_at_extreme_levels(n, q):
+    # Most of the mass lies in the cell at an end of [0, 1], and a window
+    # sized by the normal approximation would cut off part of its tail.
+    # test_hd_weights_match_mpmath checks that the window holds all the mass.
+    assert _hd_weights(n, q)[1].sum() == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "n,q",
+    [(n, q) for n in (2, 10, 23, 60, 100, 1000, 5000, 10**6) for q in (0.05, 0.5, 0.95)]
+    + [(n, q) for n in (2, 10, 23, 60, 100, 1000, 5000) for q in (0.001, 0.999)],
+)
 def test_hd_weights_match_mpmath(n, q):
     lo, w = _hd_weights(n, q)
     assert np.all(w >= 0)
@@ -160,9 +174,7 @@ def test_hd_weights_match_mpmath(n, q):
     ref = np.array([float(s) for s in accumulate(_mp_mass(a, b, x0, x1) for x0, x1 in zip(grid, grid[1:]))])
     # The last check point holds the whole window: all the mass there is.
     assert ref[-1] == pytest.approx(1.0, abs=1e-15)
-    # At 10^6 the bound is relative to the unit total weight.  Pointwise,
-    # cumulative weights below 1e-4 carry relative errors up to about
-    # 3e-12 there (scipy's betainc in the far tails): absolute errors far
-    # too small to move a Harrell-Davis estimate.
+    # At 10^6 the bound is relative to the unit total weight: absolute
+    # errors far too small to move a Harrell-Davis estimate.
     bound = 2e-15 if n <= 5000 else 1e-13
     assert np.max(np.abs(got - ref)) <= bound
