@@ -15,19 +15,10 @@ import warnings
 
 import numpy as np
 
-from . import render, simulation
-from .correlation import correlation_matrix
+# Only what parsing and error handling need; each command imports the
+# layers it runs, so a launch loads no module its command does not use.
 from .dataset import ValidationError, errors_from_table, load_table
 from .estimators import StatKind, evaluate
-from .inference import (
-    BootstrapPlan,
-    HIGHER_IS_RANK1,
-    LOWER_IS_RANK1,
-    compare_pair,
-    rank_probability_matrix,
-    replicate_stats,
-)
-from .sip import delta_ecdf, sip_matrix
 
 SCHEMA_VERSION = "1"
 
@@ -37,6 +28,7 @@ def _statkind(args):
 
 
 def _plan(args):
+    from .inference import BootstrapPlan
     return BootstrapPlan(B=args.boot, seed=args.seed, n_prime=getattr(args, "nprime", None))
 
 
@@ -89,14 +81,16 @@ def _print_grid(title, labels, values, fmt="{:8.3f}"):
 
 
 def _write_grid(args, labels, values, glyph, columns):
-    """Write a labelled K x K matrix as the --svg figure and the --csv table."""
+    """Write a labelled K x K matrix as the --svg figure, drawn with render kind `glyph`, and the --csv table."""
     if args.svg:
+        from . import render
         _write_text(args.svg, render.render_matrix(values, labels, glyph, args.size))
     if args.csv:
         _write_csv(args.csv, ("method", *columns), [(label, *map(float, row)) for label, row in zip(labels, values)])
 
 
 def cmd_stats(args):
+    from .inference import replicate_stats
     matrix = _load_matrix(args.data)
     kind = _statkind(args)
     plan = _plan(args)
@@ -126,6 +120,7 @@ def _split_pair(text, matrix):
 
 
 def cmd_compare(args):
+    from .inference import compare_pair
     matrix = _load_matrix(args.data)
     m1, m2 = _split_pair(args.pair, matrix)
     kind = _statkind(args)
@@ -151,6 +146,7 @@ def cmd_compare(args):
 
 
 def cmd_sip(args):
+    from .sip import delta_ecdf, sip_matrix
     matrix = _load_matrix(args.data)
     if args.pair:
         m1, m2 = _split_pair(args.pair, matrix)
@@ -170,6 +166,8 @@ def cmd_sip(args):
                 print(f"  {name:>5} = {s.value:.4g}  [{s.lo:.4g}, {s.hi:.4g}]")
         if report.ties:
             print(f"  ties: {report.ties}")
+        if args.ecdf or args.abs_ecdf:
+            from . import render
         if args.ecdf:
             _write_text(args.ecdf, render.render_delta_ecdf(report, args.size))
         if args.abs_ecdf:
@@ -190,11 +188,12 @@ def cmd_sip(args):
     sip_sorted = report.sip[np.ix_(order, order)]
     _print_grid(f"SIP matrix (N={report.n_systems}, rows ordered by decreasing MSIP)", labels, sip_sorted, "{:6.3f}")
     print("MSIP: " + "  ".join(f"{report.labels[i]}={report.msip[i]:.3f}" for i in order))
-    _write_grid(args, labels, sip_sorted, render.SIP_DISK, labels)
+    _write_grid(args, labels, sip_sorted, "sip_disk", labels)
     return "sip", report
 
 
 def cmd_corr(args):
+    from .correlation import correlation_matrix
     table = load_table(args.data)
     method = "pearson" if args.pearson else "spearman"
     if args.on == "errors":
@@ -204,11 +203,12 @@ def cmd_corr(args):
         values = np.column_stack([table.methods[m] for m in table.method_names])
         corr = correlation_matrix(values, method=method, labels=table.method_names)
     _print_grid(f"{method} correlation of {args.on}", corr.labels, corr.values, "{:6.2f}")
-    _write_grid(args, corr.labels, corr.values, render.CORR_ELLIPSE, corr.labels)
+    _write_grid(args, corr.labels, corr.values, "corr_ellipse", corr.labels)
     return "corr", corr
 
 
 def cmd_rank(args):
+    from .inference import HIGHER_IS_RANK1, LOWER_IS_RANK1, rank_probability_matrix
     matrix = _load_matrix(args.data)
     kind = _statkind(args)
     orientation = LOWER_IS_RANK1 if args.orientation == "lower" else HIGHER_IS_RANK1
@@ -224,11 +224,12 @@ def cmd_rank(args):
     for entry in rm.summary:
         lo, hi = entry.interval
         print(f"  {entry.label:>16}: {entry.mode} (p={entry.mode_probability:.3f}) [{lo}, {hi}]")
-    _write_grid(args, rm.labels, rm.p, render.RANK_HEATMAP, [f"rank{k + 1}" for k in range(len(rm.labels))])
+    _write_grid(args, rm.labels, rm.p, "rank_heatmap", [f"rank{k + 1}" for k in range(len(rm.labels))])
     return "rank", rm
 
 
 def _scenarios(text):
+    from . import simulation
     out = []
     for name in text.split(","):
         name = name.strip()
@@ -260,6 +261,7 @@ def _study_outputs(args, result):
 
 
 def cmd_simulate(args):
+    from . import simulation
     if args.what == "gh":
         if len(args.n) != 1:
             raise ValidationError(f"simulate gh takes one --n size, got {','.join(map(str, args.n))}")

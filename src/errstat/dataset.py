@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .estimators import median
+
 __all__ = [
     "ValidationError",
     "BenchmarkTable",
@@ -264,7 +266,7 @@ def _screen_uncertainty_spread(table):
     else:
         return
     for name, u in checks:
-        med = np.median(u)
+        med = median(u)
         if med > 0 and u.max() / med > EXTREME_UNCERTAINTY_RATIO:
             warnings.warn(
                 f"{name}: extreme uncertainty spread (max/median = {u.max() / med:.1f}); "

@@ -23,6 +23,9 @@ __all__ = [
     "weighted_sums",
     "quantile_hd",
     "quantile_type7",
+    "percentile",
+    "median",
+    "lerp",
 ]
 
 _KINDS = ("mse", "mue", "rmsd", "q")
@@ -223,11 +226,18 @@ def _rank_window(r, xs, lo, hi):
     return xs[np.sort(r, axis=1)[:, lo - cut : hi - cut]]
 
 
-@lru_cache(maxsize=1)
-def _gauss_legendre():
-    """16-point Gauss-Legendre nodes and weights on [-1, 1], built on first use."""
-    from numpy.polynomial.legendre import leggauss
-    return leggauss(16)
+# 16-point Gauss-Legendre rule on [-1, 1], bit for bit leggauss(16) of
+# numpy.polynomial, whose import would cost more than the weights: the
+# positive nodes and their weights, mirrored at 0.
+_GL_X = np.array([
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499,
+])
+_GL_W = np.array([
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176,
+])
+_GAUSS_LEGENDRE = (np.concatenate((-_GL_X[::-1], _GL_X)), np.concatenate((_GL_W[::-1], _GL_W)))
 
 
 @lru_cache(maxsize=128)
@@ -255,18 +265,27 @@ def _hd_weights(n, q):
         lu = np.where(np.abs(d) < (1 - c) / 2, np.log1p(-d / (1 - c)), np.log((1 - t) / (1 - c)))
         return (a - 1.0) * lt + (b - 1.0) * lu
 
-    with np.errstate(divide="ignore", invalid="ignore"):  # the ends t = 0, 1
-        edges = log_ratio(np.arange(n + 1) / n)
-    keep = np.flatnonzero(np.fmax(edges[:-1], edges[1:]) > -100.0)
-    lo, hi = int(keep[0]), int(keep[-1]) + 1
+    # L is concave, or monotone where a or b is below 1 (never both), so the
+    # edges with L > -100 form one run around c: widen a window of edges
+    # about c until L falls to -100 inside both of its ends, or they meet 0 and 1.
+    i, width = min(int(c * n), n - 1), 16
+    while True:
+        first, last = max(i - width, 0), min(i + 1 + width, n)
+        with np.errstate(divide="ignore", invalid="ignore"):  # the ends t = 0, 1
+            edges = log_ratio(np.arange(first, last + 1) / n)
+        run = np.flatnonzero(edges > -100.0)
+        if (first == 0 or run[0] > 0) and (last == n or run[-1] < edges.size - 1):
+            break
+        width *= 4
+    lo, hi = max(first + int(run[0]) - 1, 0), min(first + int(run[-1]) + 1, n)
     x = np.arange(lo, hi + 1) / n
-    nodes, gw = _gauss_legendre()
+    nodes, gw = _GAUSS_LEGENDRE
     half = np.diff(x)[:, None] / 2
     mass = (np.exp(log_ratio(x[:-1, None] + half * (1 + nodes))) * gw).sum(axis=1) * half[:, 0]
     if lo == 0:
-        mass[0] = x[1] * (1 - x[1]) / a * np.exp(edges[1]) * _end_series(a, b, x[1])
+        mass[0] = x[1] * (1 - x[1]) / a * np.exp(edges[1 - first]) * _end_series(a, b, x[1])
     if hi == n:  # 1 - x[-2] is exact, as x[-2] >= 1/2
-        mass[-1] = (1 - x[-2]) * x[-2] / b * np.exp(edges[-2]) * _end_series(b, a, 1 - x[-2])
+        mass[-1] = (1 - x[-2]) * x[-2] / b * np.exp(edges[n - 1 - first]) * _end_series(b, a, 1 - x[-2])
     return lo, mass / mass.sum()
 
 
@@ -299,3 +318,33 @@ def quantile_type7(x, q):
         return float(xs[-1])
     return float(_quantile("type7", q, x.size, lambda lo, hi: xs[None, lo:hi])[0])
 
+
+def percentile(x, levels):
+    """np.percentile(x, levels) bit for bit, for a 1-d x without NaN.
+
+    np.percentile and np.median import numpy.ma on first use.  This is
+    numpy's default linear rule: order statistics j and j + 1 around the
+    virtual index v = (n - 1) p / 100, interpolated by `lerp`.  The
+    partition takes numpy's own kth set, as the cuts decide which of two
+    tied values, such as -0.0 and 0.0, lands at j.
+    """
+    xs = np.array(x, dtype=float)
+    v = (xs.size - 1) * (np.asarray(levels, dtype=float) / 100)
+    j = np.floor(v).astype(np.intp)
+    j[v >= xs.size - 1] = -1  # at or past the top: the largest value
+    k = np.where(j == -1, -1, j + 1)
+    xs.partition(sorted({0, -1, *j.tolist(), *k.tolist()}))
+    return lerp(xs[j], xs[k], v - j)
+
+
+def median(x):
+    """np.median(x) bit for bit, for a 1-d x without NaN: the mean of the middle order statistics."""
+    n = len(x)
+    mid = [(n - 1) // 2] if n % 2 else [n // 2 - 1, n // 2]
+    return float(np.mean(np.partition(x, mid + [-1])[mid]))
+
+
+def lerp(a, b, t):
+    """numpy's linear interpolation a + (b - a) t, taken from b's side where t >= 1/2."""
+    d = b - a
+    return np.where(t >= 0.5, b - d * (1 - t), a + d * t)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import StatKind, evaluate_resampled, evaluate_rows
+from .estimators import StatKind, evaluate_resampled, evaluate_rows, percentile
 from .correlation import pearson
 from .inference import generalized_p
 
@@ -307,6 +307,13 @@ _SUMMARY_QS = (0.05, 0.25, 0.5, 0.75, 0.95)
 _HD_BASE_N = 500  # size of mode B's one fixed sample
 
 
+def _spread(est):
+    """The _SUMMARY_QS quantiles of the estimates, then how many distinct values they take."""
+    xs = np.sort(est)  # np.unique would import numpy.ma
+    distinct = 1 + int(np.count_nonzero(xs[1:] != xs[:-1]))
+    return (*[float(v) for v in percentile(est, [100 * p for p in _SUMMARY_QS])], distinct)
+
+
 def hd_convergence_study(config, modes=("A", "B")):
     """Sampling behaviour of the two Q95 estimators versus sample size.
 
@@ -331,9 +338,7 @@ def hd_convergence_study(config, modes=("A", "B")):
             rng = _cell_rng(config.seed, 2, ni)
             samples = gh_sample(scen, (config.reps, n), rng)
             for kind, name in ((hd, "hd"), (q7, "type7")):
-                est = evaluate_rows(kind, samples)
-                summary = np.percentile(est, [100 * p for p in _SUMMARY_QS])
-                rows.append(("A", n, name, *[float(v) for v in summary], int(np.unique(est).size)))
+                rows.append(("A", n, name, *_spread(evaluate_rows(kind, samples))))
     if "B" in modes:
         if max(config.n_values) > _HD_BASE_N:
             raise ValueError(f"mode B subsets cannot exceed the base sample size {_HD_BASE_N}")
@@ -343,9 +348,7 @@ def hd_convergence_study(config, modes=("A", "B")):
             idx = rng.integers(0, n, size=(config.reps, n))
             sub = base[:n]
             for kind, name in ((hd, "hd"), (q7, "type7")):
-                est = evaluate_resampled(kind, sub[:, None], [idx])[:, 0]
-                summary = np.percentile(est, [100 * p for p in _SUMMARY_QS])
-                rows.append(("B", n, name, *[float(v) for v in summary], int(np.unique(est).size)))
+                rows.append(("B", n, name, *_spread(evaluate_resampled(kind, sub[:, None], [idx])[:, 0])))
     return StudyResult(
         study="hdstudy",
         columns=("mode", "n", "estimator", "q05", "q25", "q50", "q75", "q95", "n_distinct"),

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import inference
-from .estimators import StatKind, evaluate_rows, resample_counts, weighted_sums
+from .estimators import StatKind, evaluate_rows, lerp, percentile, resample_counts, weighted_sums
 
 __all__ = [
     "SipReport",
@@ -170,7 +170,7 @@ def _percentile_ci(values):
     vals = vals[~np.isnan(vals)]
     if vals.size == 0:
         return None, None
-    lo, hi = np.percentile(vals, [2.5, 97.5])
+    lo, hi = percentile(vals, [2.5, 97.5])
     return float(lo), float(hi)
 
 
@@ -190,8 +190,7 @@ def _percentile_band(counts, n_prime):
         lo = counts[:, k] / n_prime
         counts.partition(k + 1, axis=1)
         hi = counts[:, k + 1] / n_prime
-        diff = hi - lo
-        band.append(hi - diff * (1 - t) if t >= 0.5 else lo + diff * t)
+        band.append(lerp(lo, hi, t))
     return band
 
 

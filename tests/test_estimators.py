@@ -9,9 +9,12 @@ from errstat.estimators import (
     evaluate,
     evaluate_resampled,
     evaluate_rows,
+    median,
+    percentile,
     quantile_hd,
     quantile_type7,
 )
+from errstat.simulation import _SUMMARY_QS
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 error_vectors = st.lists(finite_floats, min_size=2, max_size=60).map(np.asarray)
@@ -223,3 +226,32 @@ def test_chi2_bounds_match_scipy_stats(df):
     np.testing.assert_allclose(
         chdtri(df, [0.975, 0.025]), chi2.ppf([0.025, 0.975], df), rtol=1e-13, atol=0.0
     )
+
+
+# ---------------------------------------------------------------- numpy's percentile and median rules
+
+def _samples(n, rng):
+    """Distinct values, small-integer ties, and ties of -0.0 with 0.0."""
+    yield rng.normal(size=n)
+    yield rng.integers(0, 4, size=n) / 3.0
+    yield rng.choice([-0.0, 0.0, 1.0], size=n)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def test_percentile_is_numpys_bit_for_bit():
+    # The levels of the bootstrap intervals and of the hdstudy summaries.
+    rng = np.random.default_rng(11)
+    for n in range(1, 401):
+        for x in _samples(n, rng):
+            for levels in ([2.5, 97.5], [5, 25, 50, 75, 95], [100 * p for p in _SUMMARY_QS]):
+                assert np.array_equal(_bits(percentile(x, levels)), _bits(np.percentile(x, levels))), (n, x, levels)
+
+
+def test_median_is_numpys_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for n in range(1, 401):
+        for x in _samples(n, rng):
+            assert _bits(median(x)) == _bits(np.median(x)), (n, x)

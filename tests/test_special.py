@@ -19,7 +19,7 @@ from mpmath import mp, mpf
 from scipy import integrate
 from scipy.special import betainc
 
-from errstat.estimators import _hd_weights, quantile_hd
+from errstat.estimators import _GAUSS_LEGENDRE, _end_series, _hd_weights, quantile_hd
 
 
 def quad_oracle(a, b, x):
@@ -178,3 +178,64 @@ def test_hd_weights_match_mpmath(n, q):
     # errors far too small to move a Harrell-Davis estimate.
     bound = 2e-15 if n <= 5000 else 1e-13
     assert np.max(np.abs(got - ref)) <= bound
+
+
+def _hd_weights_full_grid(n, q):
+    """The Harrell-Davis weights with the window chosen on all n + 1 edges: the reference."""
+    if n == 1:
+        return 0, np.ones(1)
+    a, b = (n + 1.0) * q, (n + 1.0) * (1.0 - q)
+    c = (a - 1.0) / (a + b - 2.0) if min(a, b) >= 2.0 else a / (a + b)
+
+    def log_ratio(t):
+        d = t - c
+        lt = np.where(np.abs(d) < c / 2, np.log1p(d / c), np.log(t / c))
+        lu = np.where(np.abs(d) < (1 - c) / 2, np.log1p(-d / (1 - c)), np.log((1 - t) / (1 - c)))
+        return (a - 1.0) * lt + (b - 1.0) * lu
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        edges = log_ratio(np.arange(n + 1) / n)
+    keep = np.flatnonzero(np.fmax(edges[:-1], edges[1:]) > -100.0)
+    lo, hi = int(keep[0]), int(keep[-1]) + 1
+    x = np.arange(lo, hi + 1) / n
+    nodes, gw = _GAUSS_LEGENDRE
+    half = np.diff(x)[:, None] / 2
+    mass = (np.exp(log_ratio(x[:-1, None] + half * (1 + nodes))) * gw).sum(axis=1) * half[:, 0]
+    if lo == 0:
+        mass[0] = x[1] * (1 - x[1]) / a * np.exp(edges[1]) * _end_series(a, b, x[1])
+    if hi == n:
+        mass[-1] = (1 - x[-2]) * x[-2] / b * np.exp(edges[-2]) * _end_series(b, a, 1 - x[-2])
+    return lo, mass / mass.sum()
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 23, 60, 100, 5000, 10**6])
+@pytest.mark.parametrize("q", [0.001, 0.05, 0.5, 0.95, 0.999])
+def test_hd_window_search_matches_full_grid(n, q):
+    # The window grows outward from c instead of scanning every edge; the
+    # kept cells, and so every weight, are the same to the bit.
+    lo, w = _hd_weights(n, q)
+    ref_lo, ref_w = _hd_weights_full_grid(n, q)
+    assert lo == ref_lo
+    assert w.shape == ref_w.shape and np.array_equal(w.view(np.int64), ref_w.view(np.int64))
+
+
+def test_gauss_legendre_constants_are_leggauss():
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(16)
+    assert np.array_equal(_GAUSS_LEGENDRE[0], nodes) and np.array_equal(_GAUSS_LEGENDRE[1], weights)
+
+
+def test_gauss_legendre_constants_match_mpmath():
+    # The roots x of the Legendre polynomial P16 and the weights
+    # 2 / ((1 - x^2) P16'(x)^2), at 40 digits.  leggauss's nodes are within
+    # 2 ulp, but its weights are up to 63 ulp off (under 1e-14 relative);
+    # rounding them better would move every Harrell-Davis weight.
+    nodes, weights = _GAUSS_LEGENDRE
+    with mp.workdps(40):
+        for x, w in zip(nodes, weights):
+            root = mp.findroot(lambda t: mp.legendre(16, t), mpf(x))
+            slope = 16 * (root * mp.legendre(16, root) - mp.legendre(15, root)) / (root**2 - 1)
+            ref_w = 2 / ((1 - root**2) * slope**2)
+            assert abs(mpf(x) - root) <= 2 * np.spacing(abs(x))
+            assert abs(mpf(w) - ref_w) <= 1e-14 * w

@@ -64,3 +64,13 @@ def test_no_class_defines_to_dict():
         and any(isinstance(item, ast.FunctionDef) and item.name == "to_dict" for item in node.body)
     ]
     assert not offenders, f"classes with a hand-written to_dict: {offenders}"
+
+
+def test_version_has_one_source():
+    # pyproject.toml reads the version from errstat.__version__ and states none itself.
+    tomllib = pytest.importorskip("tomllib")
+    text = (PACKAGE.parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    project = tomllib.loads(text)
+    assert "version" not in project["project"] and "version" in project["project"]["dynamic"]
+    assert project["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "errstat.__version__"}
+    assert errstat.__version__ not in text
