@@ -155,75 +155,101 @@ def resample_counts(idx, n):
     In this resampling-vector view of the bootstrap (Efron and Tibshirani
     1993) a resample's sum of any per-row value is a count-weighted sum.
     """
-    offsets = n * np.arange(idx.shape[0])[:, None]
-    return np.bincount((idx + offsets).ravel(), minlength=idx.shape[0] * n).reshape(-1, n).astype(float)
+    return _Resampled(None).counts(idx, n)
 
 
 def evaluate_resampled(kind, columns, blocks):
     """Statistic of every column of `columns` (n, K) on every resample.
 
     Each item of `blocks` is a (b, n') index array whose row r lists the
-    rows of one resample, shared by all columns.  Returns the stacked
-    (b, K) results: entry [r, k] is `evaluate(kind, columns[row r, k])`
-    and depends on that index row alone, not on the block size or on the
-    other columns.  Means are count contractions, RMSD gathers, and
-    quantiles select the order statistics they weight from column ranks.
+    rows of one resample, shared by all columns; an index outside [0, n)
+    raises IndexError.  Returns the stacked (b, K) results: entry [r, k]
+    is `evaluate(kind, columns[row r, k])` and depends on that index row
+    alone, not on the block size or on the other columns.
     """
-    cols = np.asarray(columns, dtype=float)
-    if kind.kind == "q":
-        block = _quantile_block(kind, cols)
-    elif kind.kind == "rmsd":
-        by_col = np.ascontiguousarray(cols.T)
-
-        def block(idx):
-            return np.column_stack([c[idx].std(axis=1, ddof=1) for c in by_col])
-    else:
-        values = np.ascontiguousarray((cols if kind.kind == "mse" else np.abs(cols)).T)
-
-        def block(idx):
-            return weighted_sums(resample_counts(idx, cols.shape[0]), values) / idx.shape[1]
-    return np.concatenate([block(idx) for idx in blocks])
+    resampled, out = _Resampled(kind).bind(columns), []
+    for idx in blocks:
+        if idx.size and (idx.min() < 0 or idx.max() >= resampled.n):
+            raise IndexError(f"resample index out of range [0, {resampled.n})")
+        out.append(resampled(idx))
+    return np.concatenate(out)
 
 
-def _quantile_block(kind, cols):
-    """Quantile of |column| on a block of resamples, from stable ranks.
+class _Resampled:
+    """One statistic of bound columns on index blocks, in scratch arrays reused across calls.
 
-    Ranking each column once (ties get distinct ranks) turns a resample's
-    order statistics into its sorted ranks mapped back to the sorted
-    values, and only the ranks the estimator weights need sorting: the
-    Harrell-Davis window, or the two order statistics of type 7.
+    `bind(columns)` takes (n, K) columns; a call on a (b, n') block of
+    indices in [0, n) (unchecked: gathers clip) returns the (b, K) results.
+    Means are count contractions, RMSD gathers, and quantiles select from
+    column ranks (ties distinct) the order statistics they weight.  Scratch
+    arrays only grow: blocks of one size allocate none of them again.
     """
-    a = np.abs(cols).T
-    order = np.argsort(a, axis=1, kind="stable")
-    sorted_abs = np.take_along_axis(a, order, axis=1)
-    ranks = np.empty(a.shape, dtype=np.int16 if a.shape[1] <= 2**15 else np.int32)
-    np.put_along_axis(ranks, order, np.arange(a.shape[1], dtype=ranks.dtype)[None, :], axis=1)
 
-    def block(idx):
-        out = np.empty((idx.shape[0], a.shape[0]))
-        for col, (rank, xs) in enumerate(zip(ranks, sorted_abs)):
-            window = partial(_rank_window, rank[idx], xs)
-            out[:, col] = _quantile(kind.quantile_method, kind.q, idx.shape[1], window)
+    def __init__(self, kind):
+        self.kind = kind
+        self._scratch = {}
+
+    def _buffer(self, name, shape, dtype):
+        buf = self._scratch.get(name)
+        if buf is None or buf.dtype != dtype or buf.shape[1:] != shape[1:] or len(buf) < shape[0]:
+            buf = self._scratch[name] = np.empty(shape, dtype)
+        return buf[: shape[0]]
+
+    def bind(self, columns):
+        cols = np.asarray(columns, dtype=float)
+        self.n = cols.shape[0]
+        if self.kind.kind != "q":
+            self.tables = np.ascontiguousarray((np.abs(cols) if self.kind.kind == "mue" else cols).T)
+            return self
+        a = np.abs(cols).T
+        order = np.argsort(a, axis=1, kind="stable")
+        ranks = np.empty(a.shape, dtype=np.int16 if self.n <= 2**15 else np.int32)
+        np.put_along_axis(ranks, order, np.arange(self.n, dtype=ranks.dtype)[None, :], axis=1)
+        self.tables = list(zip(ranks, np.take_along_axis(a, order, axis=1)))
+        return self
+
+    def counts(self, idx, n):
+        """`resample_counts(idx, n)`, in scratch arrays."""
+        flat = np.add(idx, n * np.arange(len(idx))[:, None], out=self._buffer("flat", idx.shape, np.intp))
+        counts = self._buffer("counts", (len(idx), n), float)
+        counts.fill(0.0)
+        np.add.at(counts.reshape(-1), flat.reshape(-1), 1.0)
+        return counts
+
+    def __call__(self, idx):
+        b, m = idx.shape
+        if self.kind.kind in ("mse", "mue"):
+            return weighted_sums(self.counts(idx, self.n), self.tables) / m
+        out = np.empty((b, len(self.tables)))
+        for col, table in enumerate(self.tables):
+            if self.kind.kind == "rmsd":
+                gathered = np.take(table, idx, out=self._buffer("values", (b, m), float), mode="clip")
+                out[:, col] = gathered.std(axis=1, ddof=1)
+            else:
+                rank, xs = table
+                r = np.take(rank, idx, out=self._buffer("ranks", (b, m), rank.dtype), mode="clip")
+                out[:, col] = _quantile(self.kind.quantile_method, self.kind.q, m, partial(self._window, r, xs))
         return out
 
-    return block
+    def _window(self, r, xs, lo, hi):
+        """Values xs[r] of order statistics lo..hi-1 of each row of ranks r, sorted; r is reordered.
 
-
-def _rank_window(r, xs, lo, hi):
-    """Values xs[r] of order statistics lo..hi-1 of each row of ranks r, sorted.
-
-    Two single-kth np.partition calls cut each row to the window (one call
-    with two kths is far slower), and only the window is sorted.  A cut
-    that would drop fewer order statistics than the window holds costs
-    more than sorting them along, and is skipped.
-    """
-    w, n = hi - lo, r.shape[1]
-    cut = lo if lo >= w else 0
-    if cut:
-        r = np.partition(r, cut, axis=1)[:, cut:]
-    if n - hi >= w:
-        r = np.partition(r, hi - cut - 1, axis=1)[:, : hi - cut]
-    return xs[np.sort(r, axis=1)[:, lo - cut : hi - cut]]
+        Two single-kth partitions cut each row to the window (one call with
+        two kths is far slower), and only the window is sorted.  A cut that
+        would drop fewer order statistics than the window holds is skipped.
+        """
+        w, n = hi - lo, r.shape[1]
+        cut = lo if lo >= w else 0
+        if cut:
+            r.partition(cut, axis=1)
+            r = r[:, cut:]
+        if n - hi >= w:
+            r.partition(hi - cut - 1, axis=1)
+            r = r[:, : hi - cut]
+        r.sort(axis=1)
+        pos = self._buffer("window", (r.shape[0], w), np.intp)
+        pos[...] = r[:, lo - cut : hi - cut]
+        return np.take(xs, pos, out=self._buffer("values", pos.shape, float), mode="clip")
 
 
 # 16-point Gauss-Legendre rule on [-1, 1], bit for bit leggauss(16) of

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import StatKind, evaluate_resampled, evaluate_rows, percentile
+from .estimators import StatKind, _Resampled, evaluate_resampled, evaluate_rows, percentile
 from .correlation import pearson
 from .inference import generalized_p
 
@@ -263,13 +263,6 @@ def corr_transfer_study(config):
     )
 
 
-def _boot_diff_block(e1, e2, kind, B, rng):
-    """Paired-bootstrap difference sample drawn as one index block."""
-    idx = rng.integers(0, e1.shape[0], size=(B, e1.shape[0]))
-    stats = evaluate_resampled(kind, np.column_stack([e1, e2]), [idx])
-    return stats[:, 0] - stats[:, 1]
-
-
 def type1_study(config):
     """Rejection rate of a true null with the generalized p-value.
 
@@ -284,13 +277,14 @@ def type1_study(config):
     rows = []
     for si, scen in enumerate(config.gh_scenarios):
         for ni, n in enumerate(config.n_values):
+            resampled = _Resampled(kind)
             for ri, rho in enumerate(config.rho_values):
                 rejections = 0
                 for rep in range(config.reps):
                     rng = _cell_rng(config.seed, 1, si, ni, ri, rep)
                     e1, e2 = correlated_pairs(rho, scen, scen, n, rng)
-                    d = _boot_diff_block(e1, e2, kind, config.B, rng)
-                    if generalized_p(d) < 0.05:
+                    stats = resampled.bind(np.column_stack([e1, e2]))(rng.integers(0, n, size=(config.B, n)))
+                    if generalized_p(stats[:, 0] - stats[:, 1]) < 0.05:
                         rejections += 1
                 alpha = rejections / config.reps
                 se = float(np.sqrt(alpha * (1.0 - alpha) / config.reps))

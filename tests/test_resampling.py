@@ -7,6 +7,7 @@ the other columns evaluated with it or the BLAS thread count.
 """
 
 import os
+import platform
 import subprocess
 import sys
 import threading
@@ -17,7 +18,7 @@ import pytest
 
 import errstat.inference as inf
 from errstat.dataset import ErrorMatrix
-from errstat.estimators import StatKind, evaluate, weighted_sums
+from errstat.estimators import StatKind, _Resampled, evaluate, evaluate_resampled, weighted_sums
 from errstat.inference import (
     BootstrapPlan,
     compare_pair,
@@ -278,3 +279,57 @@ def test_resample_indices_threads_each_keep_their_own_stream():
         assert len(got[t]) == 200
         for j, idx in enumerate(got[t]):
             np.testing.assert_array_equal(idx, _fresh_philox_draw(plan.seed, j, n))
+
+
+def test_reused_evaluator_equals_a_fresh_one():
+    # One evaluator, bound in turn to columns of other sizes and called on
+    # blocks of other shapes, reuses or regrows its scratch arrays (the
+    # int32 ranks of n > 2**15 included); each result equals a fresh
+    # evaluate_resampled and is not overwritten by the calls after it.
+    rng = np.random.default_rng(11)
+    shapes = ((60, 60, 50), (40, 25, 70), (60, 60, 20), (300, 120, 10), (7, 3, 50), (40000, 100, 4), (60, 60, 50))
+    for kind in KINDS:
+        resampled, kept = _Resampled(kind), []
+        for n, n_prime, b in shapes:
+            cols = _tied_columns(rng, n, 3)
+            for _ in range(2):
+                idx = rng.integers(0, n, size=(b, n_prime))
+                got = resampled.bind(cols)(idx)
+                want = evaluate_resampled(kind, cols, [idx])
+                assert np.array_equal(got, want)
+                kept.append((got, want))
+        assert all(np.array_equal(got, want) for got, want in kept)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_evaluate_resampled_rejects_indices_out_of_range(kind):
+    # The evaluator gathers with mode="clip", so the range is checked before it.
+    cols = np.arange(12.0).reshape(6, 2)
+    good = np.zeros((3, 6), dtype=np.intp)
+    for bad in (6, -1, 2**40):
+        idx = good.copy()
+        idx[1, 2] = bad
+        with pytest.raises(IndexError):
+            evaluate_resampled(kind, cols, [good, idx])
+
+
+def _type1_minor_faults(reps):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    cmd = [sys.executable, "-c", "from errstat.cli import main; main()", "simulate", "type1", "--stat", "q95",
+           "--n", "60", "--boot", "1000", "--reps", str(reps), "--rho=0.9"]
+    proc = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    return usage.ru_minflt
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc", reason="glibc heap")
+def test_type1_repetitions_reuse_their_scratch_pages():
+    # At n = 60, B = 1000 a repetition's index block and gathers are over
+    # glibc's 128 KB mmap threshold.  Allocated afresh per repetition, they
+    # were mapped and trimmed again each time, about 240 minor faults per
+    # repetition; kept in scratch arrays, they fault once.
+    extra = _type1_minor_faults(200) - _type1_minor_faults(100)
+    assert extra < 20 * 100

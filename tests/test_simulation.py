@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import errstat.simulation as simulation
 from errstat.correlation import pearson
-from errstat.estimators import StatKind
+from errstat.estimators import StatKind, evaluate_resampled
 from errstat.simulation import (
     GHParams,
     SCENARIOS,
@@ -15,7 +16,7 @@ from errstat.simulation import (
     population_folded_stats,
     type1_study,
 )
-from errstat.simulation import _gh_moments
+from errstat.simulation import _cell_rng, _gh_moments
 
 
 def closed_form_moments(g, h):
@@ -207,6 +208,35 @@ def test_type1_study_smoke_and_determinism():
     alpha = row[4]
     assert 0.0 <= alpha <= 0.15
     assert type1_study(config).rows == result.rows
+
+
+def _boot_diff_block(e1, e2, kind, B, rng):
+    """The type-I study's old per-repetition path: a fresh evaluate_resampled on one index block."""
+    idx = rng.integers(0, e1.shape[0], size=(B, e1.shape[0]))
+    stats = evaluate_resampled(kind, np.column_stack([e1, e2]), [idx])
+    return stats[:, 0] - stats[:, 1]
+
+
+@pytest.mark.parametrize("kind", [StatKind.mue(), StatKind.quantile(0.95, "hd"), StatKind.quantile(0.9, "type7")])
+def test_type1_study_differences_equal_the_fresh_block_path(kind, monkeypatch):
+    # One evaluator per (scenario, n) cell, rebound every repetition, must
+    # give each repetition the differences the fresh path gives.
+    config = StudyConfig(n_values=(12, 20), rho_values=(0.0, 0.8), reps=100, B=100,
+                         gh_scenarios=(SCENARIOS["normal"], SCENARIOS["heavyasym"]), seed=9, statistic=kind)
+    seen = []
+    real = simulation.generalized_p
+    monkeypatch.setattr(simulation, "generalized_p", lambda d: seen.append(d.copy()) or real(d))
+    type1_study(config)
+    want = []
+    for si, scen in enumerate(config.gh_scenarios):
+        for ni, n in enumerate(config.n_values):
+            for ri, rho in enumerate(config.rho_values):
+                for rep in range(config.reps):
+                    rng = _cell_rng(config.seed, 1, si, ni, ri, rep)
+                    e1, e2 = correlated_pairs(rho, scen, scen, n, rng)
+                    want.append(_boot_diff_block(e1, e2, kind, config.B, rng))
+    assert len(seen) == len(want) == 800
+    assert all(np.array_equal(a, b) for a, b in zip(seen, want))
 
 
 def test_type1_study_requires_statistic():
