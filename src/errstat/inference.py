@@ -182,15 +182,17 @@ def generalized_p(d):
 
     p* = (#{d<0} + 0.5 #{d=0}) / B and p_g = 2 min(p*, 1-p*): null
     differences are shared between the two signs, and the factor two
-    reflects the two-sided test.
+    reflects the two-sided test.  It is taken as min(2a + c, 2b + c) / B
+    from the counts a = #{d<0}, b = #{d>0}, c = #{d=0}, one correctly
+    rounded division, so swapping the pair gives the same float.
     """
     dv = np.asarray(d, dtype=float)
     if dv.size < 100:
         raise ValueError("need at least 100 replicates")
     a = int((dv < 0).sum())
+    b = int((dv > 0).sum())
     c = int((dv == 0).sum())
-    p_star = (a + 0.5 * c) / dv.size
-    return float(2.0 * min(p_star, 1.0 - p_star))
+    return min(2 * a + c, 2 * b + c) / dv.size
 
 
 def p_inv(d, s1, s2):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -127,6 +128,20 @@ def test_compare_pair(data, capsys):
     assert run(["compare", data, "--pair", "M1,M3", "--boot", "200", "--seed", "7"]) == 0
     out = capsys.readouterr().out
     assert "p_g" in out and "P_inv" in out
+
+
+@pytest.mark.parametrize("stat", ["mse", "q95"])
+def test_compare_p_g_does_not_depend_on_the_order_of_the_pair(tmp_path, stat):
+    # On this table and seed p* > 1/2 for M01 - M02: a p_g rounded from
+    # 1 - p* was 0.03200000000000003 (MSE) and 0.31200000000000006 (Q95)
+    # in that order, 0.032 and 0.312 in the other.
+    table = os.path.join(os.path.dirname(__file__), "data", "golden.csv")
+    p_g = []
+    for pair in ("M01,M02", "M02,M01"):
+        out = tmp_path / f"{pair}.json"
+        assert run(["compare", table, "--pair", pair, "--stat", stat, "--seed", "17", "--json", str(out)]) == 0
+        p_g.append(json.loads(out.read_text())["report"]["p_g"])
+    assert p_g[0] == p_g[1] == {"mse": 0.032, "q95": 0.312}[stat]
 
 
 def test_compare_unknown_method_is_validation_error(data, capsys):

@@ -72,11 +72,11 @@ DIGESTS = {'stats_mue': {'stdout': '14fb68094101bad69d8921f90643f935b12805626eed
                 'json': '66efa12075eccaef25b0942fdf7e9383a996205aabc3777994694502d5cad982'},
  'compare_mse': {'stdout': 'dd66180f723e1e3624f27ce9762a96ad4162de16105bfda75adce7264fa8763f',
                  'stderr': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-                 'json': '5c01ef857a5c39e781466a564a1e9deeb33aa2568e3fc06204e2181ca637e2e3',
-                 'csv': '37d4ddf25d20d5f4f012ea2a519c01374d0a30e9f898f1c6da118cc552735f26'},
+                 'json': '01c574329cd9a9d20ce96af22d7a73343b860fdfb01ede46f7898feeb36941ef',
+                 'csv': '7ac0520706076bc0c859327f15c1a206730abc75bc64ab1ded7ed340fe497b3c'},
  'compare_q95_hd': {'stdout': 'd2c380d551ff4d407564b9e7c6f7b0e74ff8fe09e27f9656eb1ca8adfb435acb',
                     'stderr': '674163be7bb8a244dede7348d31293999bb3580446b8b31e00ecf563234729c8',
-                    'json': 'f08c1753202f669beac57ffb82711dcae61cb0188b1556e3db38daac4f461cfd'},
+                    'json': 'bfc8a7b0f1b811830d11bca2097cd2ac911c4d4b6cf9629ff6ddcd45bf7d051d'},
  'compare_q95_type7': {'stdout': 'b1a21d528c392df3710a3205671e98d7797cfbc47177c7c2a4fcdabde372e29b',
                        'stderr': '674163be7bb8a244dede7348d31293999bb3580446b8b31e00ecf563234729c8',
                        'json': 'd9d832f72724c978ff907ff962cd5e5a1ba5a9362b9c2953a71e905805a67fa5'},
