@@ -5,6 +5,7 @@ benchmark sets routinely contain a few outliers, to which the plain
 Pearson coefficient is notoriously sensitive.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +18,13 @@ __all__ = ["CorrMatrix", "pearson", "spearman", "midranks", "correlation_matrix"
 def pearson(x, y):
     """Product-moment correlation of two equal-length vectors (N >= 3).
 
-    The sums go through `weighted_sums`, never BLAS, so the result does
-    not depend on the BLAS thread count.
+    Each vector is centred twice, the second pass taking out the mean
+    that the first pass's rounding leaves, and then scaled by the exact
+    power of two that brings its largest magnitude into [1/2, 1), so no
+    sum overflows or underflows at extreme magnitudes and results in range
+    are those of the unscaled sums.  The sums go through `weighted_sums`,
+    never BLAS, so the result does not depend on the BLAS thread count.
+    An undefined correlation raises ValueError.
     """
     xv = np.asarray(x, dtype=float)
     yv = np.asarray(y, dtype=float)
@@ -27,11 +33,15 @@ def pearson(x, y):
     if xv.size < 3:
         raise ValueError("need at least 3 points")
     d = np.stack([xv - xv.mean(), yv - yv.mean()])
+    d -= d.mean(axis=1, keepdims=True)
+    d = np.ldexp(d, -np.frexp(np.abs(d).max(axis=1, keepdims=True))[1])
     (sx, sxy), (_, sy) = weighted_sums(d, d)
     if sx == 0.0 or sy == 0.0:
         raise ValueError("undefined correlation: constant input")
-    r = float(sxy) / np.sqrt(sx * sy)
-    return float(min(1.0, max(-1.0, r)))
+    r = float(sxy) / math.sqrt(sx * sy)
+    if math.isnan(r):
+        raise ValueError("undefined correlation: non-finite sums")
+    return min(1.0, max(-1.0, r))
 
 
 def midranks(x):

@@ -236,6 +236,39 @@ def test_corr_variants(data, tmp_path):
     assert len(lines) == 4
 
 
+def _scaled_table(path, scale):
+    """20 rows, Ref = 0: M1 and M2 have Pearson r = 0.95 and Spearman r = 0.95, times `scale`."""
+    rng = np.random.default_rng(4)
+    v = rng.normal(size=(20, 2))
+    v[:, 1] = v[:, 0] + 0.4 * rng.normal(size=20)
+    rows = [f"s{i:02d},0,{float(a * scale)!r},{float(b * scale)!r}" for i, (a, b) in enumerate(v)]
+    path.write_text("\n".join(["System,Ref,M1,M2", *rows]) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("power, on", [(664, "values"), (-332, "errors")])
+def test_corr_pearson_at_extreme_magnitudes_equals_the_scaled_down_table(tmp_path, capsys, power, on):
+    # Near 1e200, sx * sy overflowed and the NaN was clamped to -1.00;
+    # near 1e-100 it underflowed to 0 and gave 1.00 with a divide warning.
+    # Scaling by a power of two is exact, so r must be that of the table at 1.
+    r = {}
+    for p in (0, power):
+        table = _scaled_table(tmp_path / f"t{p}.csv", 2.0**p)
+        out = tmp_path / f"corr{p}.json"
+        assert run(["corr", table, "--pearson", "--on", on, "--json", str(out)]) == 0
+        r[p] = json.loads(out.read_text())["report"]["values"][0][1]
+    assert r[power] == r[0] and 0.9 < r[0] < 1.0
+    assert capsys.readouterr().err == ""
+
+
+def test_corr_pearson_of_overflowing_values_exits_2(tmp_path, capsys):
+    # Their mean overflows, so r is undefined: an error, never a clamped NaN.
+    table = tmp_path / "huge.csv"
+    table.write_text("System,Ref,M1,M2\n" + "".join(f"s{i},0,{1.5e308 * (-1) ** (i // 3)!r},{i}\n" for i in range(6)))
+    assert run(["corr", str(table), "--pearson", "--on", "values"]) == 2
+    assert "undefined correlation" in capsys.readouterr().err
+
+
 def test_stats_and_compare_csv(data, tmp_path):
     stats_csv = tmp_path / "stats.csv"
     comp_csv = tmp_path / "comp.csv"

@@ -132,7 +132,7 @@ DIGESTS = {'stats_mue': {'stdout': '14fb68094101bad69d8921f90643f935b12805626eed
                       'csv': '3e902bcb0f2f608bfc042fc14615ad7d46e7f842f647d328222fd5bd19c02d90'},
  'simulate_corrtransfer': {'stdout': '1d9c18085cd04f49aba104711d365d358347491370b4e3b5afc58a329a07948e',
                            'stderr': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-                           'json': '114cde33523efca72c51a6201114ad30b2097d8e6d6d0980cf75ec42ca15d8d0'}}
+                           'json': '2a71a5ac424f53b45714b3f4c0e281649ae4e2fc10297b1e9e08309597a25749'}}
 
 
 def _run(name, tmp_dir):
