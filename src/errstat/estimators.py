@@ -7,6 +7,10 @@ the classic interpolation estimator known as Q-hat-7.
 
 RMSD here is the sample standard deviation of the errors about their own
 mean (denominator N-1), not the root mean squared error about zero.
+
+`evaluate_resampled` is the bootstrap's one kernel: every table command
+and the type-I study evaluate resamples through one evaluator, which
+fills scratch arrays it keeps from one index block to the next.
 """
 
 from dataclasses import dataclass

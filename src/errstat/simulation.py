@@ -269,7 +269,9 @@ def type1_study(config):
     Each repetition draws two same-distribution, rho-correlated samples
     and tests equality of the statistic at the 0.05 level; the rejection
     fraction estimates the type-I error alpha, reported with a binomial
-    standard error.
+    standard error.  Each (scenario, n) cell evaluates its repetitions'
+    paired resamples with one evaluator, so the scratch arrays of every
+    repetition after the first are reused, not allocated again.
     """
     kind = config.statistic
     if kind is None or kind.kind not in ("mue", "q"):
