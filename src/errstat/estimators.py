@@ -159,7 +159,7 @@ def resample_counts(idx, n):
     In this resampling-vector view of the bootstrap (Efron and Tibshirani
     1993) a resample's sum of any per-row value is a count-weighted sum.
     """
-    return _Resampled(None).counts(idx, n)
+    return _Resampled(StatKind.mse()).counts(idx, n)
 
 
 def evaluate_resampled(kind, columns, blocks):
