@@ -328,8 +328,9 @@ def _type1_minor_faults(reps):
 @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc", reason="glibc heap")
 def test_type1_repetitions_reuse_their_scratch_pages():
     # At n = 60, B = 1000 a repetition's index block and gathers are over
-    # glibc's 128 KB mmap threshold.  Allocated afresh per repetition, they
-    # were mapped and trimmed again each time, about 240 minor faults per
-    # repetition; kept in scratch arrays, they fault once.
+    # glibc's 128 KB mmap threshold.  With the gathers allocated afresh per
+    # repetition, glibc mapped and trimmed these arrays again each time,
+    # about 245 minor faults per repetition; with the gathers kept in
+    # scratch arrays, a repetition faults in almost no new pages.
     extra = _type1_minor_faults(200) - _type1_minor_faults(100)
     assert extra < 20 * 100
