@@ -34,6 +34,7 @@ __all__ = [
 
 _KINDS = ("mse", "mue", "rmsd", "q")
 _QUANTILE_METHODS = ("hd", "type7")
+_COUNT_CELLS = 1 << 14  # flat indices (128 KB) the mean path keeps: larger blocks count a few rows at a time
 
 
 @dataclass(frozen=True)
@@ -159,7 +160,18 @@ def resample_counts(idx, n):
     In this resampling-vector view of the bootstrap (Efron and Tibshirani
     1993) a resample's sum of any per-row value is a count-weighted sum.
     """
-    return _Resampled(StatKind.mse()).counts(idx, n)
+    return _count(idx, np.empty((len(idx), n)), np.empty(idx.shape, np.intp))
+
+
+def _count(idx, counts, flat):
+    """Fill counts (b, n) with `resample_counts(idx, n)`, through flat, an intp scratch of len(flat) rows of idx."""
+    counts.fill(0.0)
+    n, step = counts.shape[1], max(len(flat), 1)
+    for lo in range(0, len(idx), step):
+        part = idx[lo : lo + step]
+        cells = np.add(part, n * np.arange(lo, lo + len(part))[:, None], out=flat[: len(part)])
+        np.add.at(counts.reshape(-1), cells.reshape(-1), 1.0)
+    return counts
 
 
 def evaluate_resampled(kind, columns, blocks):
@@ -186,7 +198,8 @@ class _Resampled:
     indices in [0, n) (unchecked: gathers clip) returns the (b, K) results.
     Means are count contractions, RMSD gathers, and quantiles select from
     column ranks (ties distinct) the order statistics they weight.  Scratch
-    arrays only grow: blocks of one size allocate none of them again.
+    arrays only grow (the counts' flat indices to _COUNT_CELLS): blocks of
+    one size allocate none of them again.
     """
 
     def __init__(self, kind):
@@ -212,18 +225,11 @@ class _Resampled:
         self.tables = list(zip(ranks, np.take_along_axis(a, order, axis=1)))
         return self
 
-    def counts(self, idx, n):
-        """`resample_counts(idx, n)`, in scratch arrays."""
-        flat = np.add(idx, n * np.arange(len(idx))[:, None], out=self._buffer("flat", idx.shape, np.intp))
-        counts = self._buffer("counts", (len(idx), n), float)
-        counts.fill(0.0)
-        np.add.at(counts.reshape(-1), flat.reshape(-1), 1.0)
-        return counts
-
     def __call__(self, idx):
         b, m = idx.shape
         if self.kind.kind in ("mse", "mue"):
-            return weighted_sums(self.counts(idx, self.n), self.tables) / m
+            flat = self._buffer("flat", (min(b, max(1, _COUNT_CELLS // m)), m), np.intp)
+            return weighted_sums(_count(idx, self._buffer("counts", (b, self.n), float), flat), self.tables) / m
         out = np.empty((b, len(self.tables)))
         for col, table in enumerate(self.tables):
             if self.kind.kind == "rmsd":

@@ -18,7 +18,7 @@ import pytest
 
 import errstat.inference as inf
 from errstat.dataset import ErrorMatrix
-from errstat.estimators import StatKind, _Resampled, evaluate, evaluate_resampled, weighted_sums
+from errstat.estimators import StatKind, _Resampled, evaluate, evaluate_resampled, resample_counts, weighted_sums
 from errstat.inference import (
     BootstrapPlan,
     compare_pair,
@@ -301,6 +301,20 @@ def test_reused_evaluator_equals_a_fresh_one():
         assert all(np.array_equal(got, want) for got, want in kept)
 
 
+def test_counts_of_blocks_wider_than_the_flat_scratch():
+    # The evaluator counts a block through _COUNT_CELLS flat indices, a few
+    # rows at a time; resample_counts counts it at once.  Both equal a
+    # per-row bincount, and so do the means made from them.
+    rng = np.random.default_rng(12)
+    for n, n_prime, b in ((500, 500, 80), (300, 40000, 3), (50, 50, 0)):
+        idx = rng.integers(0, n, size=(b, n_prime))
+        want = np.array([np.bincount(row, minlength=n) for row in idx], dtype=float).reshape(b, n)
+        assert np.array_equal(resample_counts(idx, n), want)
+        cols = _tied_columns(rng, n, 2)
+        got = _Resampled(StatKind.mse()).bind(cols)(idx)
+        assert np.array_equal(got, weighted_sums(want, np.ascontiguousarray(cols.T)) / n_prime)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_evaluate_resampled_rejects_indices_out_of_range(kind):
     # The evaluator gathers with mode="clip", so the range is checked before it.
@@ -313,10 +327,10 @@ def test_evaluate_resampled_rejects_indices_out_of_range(kind):
             evaluate_resampled(kind, cols, [good, idx])
 
 
-def _type1_minor_faults(reps):
+def _type1_minor_faults(stat, reps):
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    cmd = [sys.executable, "-c", "from errstat.cli import main; main()", "simulate", "type1", "--stat", "q95",
+    cmd = [sys.executable, "-c", "from errstat.cli import main; main()", "simulate", "type1", "--stat", stat,
            "--n", "60", "--boot", "1000", "--reps", str(reps), "--rho=0.9"]
     proc = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
@@ -326,11 +340,12 @@ def _type1_minor_faults(reps):
 
 
 @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc", reason="glibc heap")
-def test_type1_repetitions_reuse_their_scratch_pages():
-    # At n = 60, B = 1000 a repetition's index block and gathers are over
-    # glibc's 128 KB mmap threshold.  With the gathers allocated afresh per
-    # repetition, glibc mapped and trimmed these arrays again each time,
-    # about 245 minor faults per repetition; with the gathers kept in
-    # scratch arrays, a repetition faults in almost no new pages.
-    extra = _type1_minor_faults(200) - _type1_minor_faults(100)
+@pytest.mark.parametrize("stat", ["q95", "mue"])
+def test_type1_repetitions_reuse_their_scratch_pages(stat):
+    # At n = 60, B = 1000 a repetition's index block, gathers and count
+    # matrix are over glibc's 128 KB mmap threshold.  With the gathers or
+    # counts allocated afresh per repetition, glibc mapped and trimmed these
+    # arrays again each time, about 245 minor faults per repetition; with
+    # them kept in scratch arrays, a repetition faults in almost no new pages.
+    extra = _type1_minor_faults(stat, 200) - _type1_minor_faults(stat, 100)
     assert extra < 20 * 100

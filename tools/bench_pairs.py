@@ -9,8 +9,9 @@ The parent side is `git archive` of --parent and the change side a copy of
 the working tree's files (tracked and untracked, not ignored), each in its
 own temporary directory.  For every seed and workload both sides run
 `perfbench/run.py --workload W --seed S --seconds T --trace N` once, one
-after the other; which side goes first alternates from one seed to the
-next, and the workloads interleave.  Every launch runs with
+after the other, for every workload W that BENCHMARK.json lists and its
+run length T; which side goes first alternates from one seed to the next,
+and the workloads interleave.  Every launch runs with
 PYTHONDONTWRITEBYTECODE=1, so each one compiles errstat's sources as a
 fresh checkout does.
 
@@ -117,9 +118,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent side")
     parser.add_argument("--seeds", required=True, help='"lo-hi" or comma-separated seeds, one pair per seed')
-    parser.add_argument("--workloads", default="small-cli,large-cli")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--seconds", type=float, default=57.0)
     parser.add_argument("--what", default="", help="one line on the change")
     parser.add_argument("--out", required=True, help="record to write, e.g. BENCH_11.json")
     args = parser.parse_args(argv)
@@ -127,7 +126,7 @@ def main(argv=None):
     with open(root / "BENCHMARK.json", encoding="utf-8") as fh:
         spec = json.load(fh)
     directions = {m["name"]: m["better"] for m in spec["end_to_end" if args.trace == 0 else "per_layer"]}
-    seeds, workloads = parse_seeds(args.seeds), args.workloads.split(",")
+    seeds, workloads, seconds = parse_seeds(args.seeds), [w["name"] for w in spec["workloads"]], spec["run_seconds"]
 
     work = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
     try:
@@ -142,7 +141,7 @@ def main(argv=None):
             for w in workloads:
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
-                    pair[side] = run_side(trees[side], w, seed, args.seconds, args.trace)
+                    pair[side] = run_side(trees[side], w, seed, seconds, args.trace)
                     print(f"{w} seed={seed} {side}: failed {pair[side]['failed']}/{pair[side]['attempted']}",
                           flush=True)
                 record[w]["pairs"].append(pair)
@@ -164,7 +163,7 @@ def main(argv=None):
                    "'change_wins' counts pairs where the change reads better; 'median_gap' is the parent "
                    "median minus the change median, in the better direction."),
         "machine": machine(),
-        f"trace{args.trace}": {"seconds": args.seconds, **record},
+        f"trace{args.trace}": {"seconds": seconds, **record},
     })
     out.write_text(json.dumps(doc, indent=1) + "\n")
     for w in workloads:
