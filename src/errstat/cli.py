@@ -18,7 +18,7 @@ import numpy as np
 # Only what parsing and error handling need; each command imports the
 # layers it runs, so a launch loads no module its command does not use.
 from .dataset import ValidationError, errors_from_table, load_table
-from .estimators import StatKind, evaluate
+from .estimators import StatKind, evaluate, sample_sd
 
 SCHEMA_VERSION = "1"
 
@@ -100,7 +100,7 @@ def cmd_stats(args):
     print(f"{'method':>16}{'value':>12}{'u(value)':>12}")
     for k, name in enumerate(matrix.method_names):
         value = evaluate(kind, matrix.column(k))
-        se = float(reps[:, k].std(ddof=1))
+        se = float(sample_sd(reps[:, k]))
         rows.append({"method": name, "value": value, "se": se})
         print(f"{name:>16}{value:>12.5g}{se:>12.3g}")
     if args.csv:
@@ -269,10 +269,9 @@ def cmd_simulate(args):
         if n < 2:
             raise ValidationError(f"simulate gh needs --n of at least 2, got {n}")
         params = simulation.GHParams(g=args.g, h=args.h, mu=args.mu, sigma=args.sigma)
-        rng = np.random.default_rng(np.random.SeedSequence(args.seed & ((1 << 64) - 1)))
-        sample = simulation.gh_sample(params, n, rng)
+        sample = simulation.gh_sample(params, n, simulation._cell_rng(args.seed))
         print(f"g-and-h sample ({params.label}, n={n}, seed={args.seed})")
-        print(f"  mean = {sample.mean():.5g}   sd = {sample.std(ddof=1):.5g}")
+        print(f"  mean = {sample.mean():.5g}   sd = {sample_sd(sample):.5g}")
         print(f"  min = {sample.min():.5g}   max = {sample.max():.5g}")
         if args.csv:
             _write_csv(args.csv, ("value",), [(v,) for v in sample])

@@ -126,6 +126,7 @@ class ErrorMatrix:
 
 
 def _parse_header(fields):
+    """The header's column names and roles: (names, method columns, {method: its "u:" column})."""
     names = [f.strip() for f in fields]
     if not names or names[0] != "System":
         raise ValidationError("malformed header: first column must be 'System'")
@@ -136,10 +137,11 @@ def _parse_header(fields):
     methods = [n for n in names[1:] if n not in ("Ref", "uRef") and not n.startswith("u:")]
     if not methods:
         raise ValidationError("malformed header: no method columns")
-    for n in names:
-        if n.startswith("u:") and n[2:] not in methods:
+    calc_u = {n[2:]: n for n in names if n.startswith("u:")}  # method -> its uncertainty column
+    for m, n in calc_u.items():
+        if m not in methods:
             raise ValidationError(f"malformed header: {n!r} has no matching method column")
-    return names
+    return names, methods, calc_u
 
 
 def load_table(source):
@@ -190,7 +192,7 @@ def _load_csv(fh):
     ]
     if not rows:
         raise ValidationError("empty input")
-    header = _parse_header(rows[0][1])
+    header, methods, calc_u = _parse_header(rows[0][1])
     ncol = len(header)
     body = rows[1:]
 
@@ -226,8 +228,8 @@ def _load_csv(fh):
         system_ids=kept_ids,
         reference=data["Ref"],
         ref_uncertainty=data.get("uRef"),
-        methods={m: data[m] for m in header[1:] if m not in ("Ref", "uRef") and not m.startswith("u:")},
-        calc_uncertainty={n[2:]: data[n] for n in header[1:] if n.startswith("u:")},
+        methods={m: data[m] for m in methods},
+        calc_uncertainty={m: data[n] for m, n in calc_u.items()},
     )
     return table
 

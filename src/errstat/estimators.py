@@ -23,6 +23,7 @@ __all__ = [
     "evaluate",
     "evaluate_rows",
     "evaluate_resampled",
+    "sample_sd",
     "resample_counts",
     "weighted_sums",
     "quantile_hd",
@@ -119,9 +120,22 @@ def evaluate_rows(kind, matrix):
     if kind.kind == "mue":
         return np.abs(m).mean(axis=1)
     if kind.kind == "rmsd":
-        return m.std(axis=1, ddof=1)
+        return sample_sd(m)
     xs = np.sort(np.abs(m), axis=1)
     return _quantile(kind.quantile_method, kind.q, m.shape[1], lambda lo, hi: xs[:, lo:hi])
+
+
+def sample_sd(x):
+    """Sample standard deviation (ddof = 1) along the last axis, at any scale.
+
+    Each slice is first scaled by the power of two that brings its largest
+    magnitude into [1/2, 1), as LAPACK's xNRM2 does (Higham 2002), so values
+    near the underflow threshold keep their digits.  The scaling is exact:
+    where `x.std(axis=-1, ddof=1)` does not underflow, the two are equal bit for bit.
+    """
+    x = np.asarray(x, dtype=float)
+    _, e = np.frexp(np.maximum(x.max(axis=-1, keepdims=True), -x.min(axis=-1, keepdims=True)))
+    return np.ldexp(np.ldexp(x, -e).std(axis=-1, ddof=1), e[..., 0])
 
 
 def _quantile(method, q, m, window):
@@ -234,7 +248,7 @@ class _Resampled:
         for col, table in enumerate(self.tables):
             if self.kind.kind == "rmsd":
                 gathered = np.take(table, idx, out=self._buffer("values", (b, m), float), mode="clip")
-                out[:, col] = gathered.std(axis=1, ddof=1)
+                out[:, col] = sample_sd(gathered)
             else:
                 rank, xs = table
                 r = np.take(rank, idx, out=self._buffer("ranks", (b, m), rank.dtype), mode="clip")

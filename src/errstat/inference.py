@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import StatKind, evaluate, evaluate_resampled
+from .estimators import StatKind, evaluate, evaluate_resampled, sample_sd
 
 __all__ = [
     "BootstrapPlan",
@@ -138,8 +138,7 @@ def bootstrap_se(errors, kind, plan):
     e = np.asarray(errors, dtype=float)
     if e.size < 2:
         raise ValueError("need at least 2 entries")
-    stats = replicate_stats(e, kind, plan)[:, 0]
-    return float(stats.std(ddof=1))
+    return float(sample_sd(replicate_stats(e, kind, plan)[:, 0]))
 
 
 def diff_sample(e1, e2, kind, plan):
@@ -177,6 +176,11 @@ def p_unc_value(s1, s2, u1, u2):
     return _normal_p(s1, s2, denom)
 
 
+def _signs(d):
+    """(#{d < 0}, #{d > 0}, #{d = 0}) of a difference sample."""
+    return int((d < 0).sum()), int((d > 0).sum()), int((d == 0).sum())
+
+
 def generalized_p(d):
     """Counting-based generalized p-value from a bootstrap difference sample.
 
@@ -189,9 +193,7 @@ def generalized_p(d):
     dv = np.asarray(d, dtype=float)
     if dv.size < 100:
         raise ValueError("need at least 100 replicates")
-    a = int((dv < 0).sum())
-    b = int((dv > 0).sum())
-    c = int((dv == 0).sum())
+    a, b, c = _signs(dv)
     return min(2 * a + c, 2 * b + c) / dv.size
 
 
@@ -199,16 +201,15 @@ def p_inv(d, s1, s2):
     """Probability that a replicate inverts the observed ordering of s1, s2.
 
     Counts replicates whose difference has strictly opposite sign to
-    s1 - s2 (null differences are compensated).  When s1 == s2 there is no
-    observed ordering to invert; 0.5 is returned by convention and the
+    s1 - s2: null differences are not inversions.  When s1 == s2 there is
+    no observed ordering to invert; 0.5 is returned by convention and the
     caller should flag the comparison as degenerate.
     """
     dv = np.asarray(d, dtype=float)
     if s1 == s2:
         return 0.5
-    ref = np.sign(s1 - s2)
-    n_opposite = int((np.sign(dv) != ref).sum()) - int((dv == 0).sum())
-    return n_opposite / dv.size
+    below, above, _ = _signs(dv)
+    return (below if s1 > s2 else above) / dv.size
 
 
 @dataclass(frozen=True)
@@ -264,9 +265,8 @@ def compare_pair(matrix, i, j, kind, plan):
     s2 = evaluate(kind, e2)
     stats = replicate_stats(np.column_stack([e1, e2]), kind, plan)
     d = stats[:, 0] - stats[:, 1]
-    u1 = float(stats[:, 0].std(ddof=1))
-    u2 = float(stats[:, 1].std(ddof=1))
-    u_diff = float(d.std(ddof=1))
+    # Column by column: over the (B, 2) array's first axis numpy sums in another order.
+    u1, u2, u_diff = (float(sample_sd(v)) for v in (stats[:, 0], stats[:, 1], d))
     xi = p_t = xi_unc = p_unc = None
     if u_diff > 0.0:
         xi, p_t = p_t_value(s1, s2, u_diff)
@@ -286,7 +286,7 @@ def compare_pair(matrix, i, j, kind, plan):
         p_unc=p_unc,
         p_g=generalized_p(d),
         p_inv=p_inv(d, s1, s2),
-        n_zero_diffs=int((d == 0).sum()),
+        n_zero_diffs=_signs(d)[2],
         degenerate=bool(s1 == s2),
     )
 
@@ -330,12 +330,8 @@ def rank_probability_matrix(matrix, kind, plan, orientation=LOWER_IS_RANK1):
     _warn_small_n(matrix.n_systems, kind, "rankings", "rank probabilities")
     stats = replicate_stats(matrix.errors, kind, plan)
     key = stats if orientation == LOWER_IS_RANK1 else -stats
-    order = np.argsort(key, axis=1, kind="stable")
-    ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.broadcast_to(np.arange(k), order.shape), axis=1)
-    p = np.empty((k, k))
-    for j in range(k):
-        p[j] = np.bincount(ranks[:, j], minlength=k) / plan.B
+    order = np.argsort(key, axis=1, kind="stable")  # order[:, r] holds the method ranked r + 1
+    p = np.column_stack([np.bincount(ranked, minlength=k) for ranked in order.T]) / plan.B
     labels = list(matrix.method_names)
     return RankMatrix(
         p=p,

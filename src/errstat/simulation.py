@@ -19,7 +19,7 @@ import numpy as np
 
 from .estimators import StatKind, _Resampled, evaluate_resampled, evaluate_rows, percentile
 from .correlation import pearson
-from .inference import generalized_p
+from .inference import _MASK64, generalized_p
 
 __all__ = [
     "GHParams",
@@ -35,8 +35,6 @@ __all__ = [
     "type1_study",
     "hd_convergence_study",
 ]
-
-_MASK64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)

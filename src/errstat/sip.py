@@ -42,9 +42,12 @@ def abs_error_deltas(e1, e2):
 _MUE = StatKind.mue()
 
 
-def _mean_gain(deltas):
-    neg = deltas[deltas < 0]
-    return float(neg.mean()) if neg.size else None
+def _scores(deltas):
+    """(#gains, #losses, MG, ML): the counts of deltas < 0 and > 0 and their means, None without any."""
+    gains, losses = deltas[deltas < 0], deltas[deltas > 0]
+    mg = float(gains.mean()) if gains.size else None
+    ml = float(losses.mean()) if losses.size else None
+    return gains.size, losses.size, mg, ml
 
 
 @dataclass(frozen=True)
@@ -68,25 +71,25 @@ class SipReport:
 
 
 def sip_matrix(matrix):
-    """Pairwise SIP/MG/ML report for an ErrorMatrix (K >= 2 methods)."""
-    errors = matrix.errors
-    k = matrix.n_methods
+    """Pairwise SIP/MG/ML report for an ErrorMatrix (K >= 2 methods).
+
+    Each unordered pair is scored once: the deltas of (j, i) are those of
+    (i, j) negated, so SIP(j,i) is the loss fraction, MG(j,i) = -ML(i,j)
+    and ties are symmetric.
+    """
+    k, n = matrix.n_methods, matrix.n_systems
     if k < 2:
         raise ValueError("need at least 2 methods")
-    n = matrix.n_systems
+    a = np.abs(matrix.errors)
     sip = np.zeros((k, k))
     mg = np.full((k, k), np.nan)
     ties = np.zeros((k, k), dtype=int)
     for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            deltas = abs_error_deltas(errors[:, i], errors[:, j])
-            sip[i, j] = float((deltas < 0).mean())
-            ties[i, j] = int((deltas == 0).sum())
-            gain = _mean_gain(deltas)
-            if gain is not None:
-                mg[i, j] = gain
+        for j in range(i + 1, k):
+            n_gain, n_loss, gain, loss = _scores(a[:, i] - a[:, j])
+            sip[i, j], sip[j, i] = n_gain / n, n_loss / n
+            ties[i, j] = ties[j, i] = n - n_gain - n_loss
+            mg[i, j], mg[j, i] = np.nan if gain is None else gain, np.nan if loss is None else -loss
     ml = -mg.T
     msip = sip.sum(axis=1) / k
     order = list(np.argsort(-msip, kind="stable"))
@@ -110,17 +113,13 @@ def mue_decomposition(e1, e2):
     """
     deltas = abs_error_deltas(e1, e2)
     mue_1, mue_2 = evaluate_rows(_MUE, np.stack([e1, e2]))  # unlike evaluate, takes one system
-    delta_mue = float(mue_1 - mue_2)
-    sip_12 = float((deltas < 0).mean())
-    sip_21 = float((deltas > 0).mean())
-    gain = _mean_gain(deltas)
-    loss = _mean_gain(-deltas)  # ML(1,2) = -MG(2,1)
+    n_gain, n_loss, gain, loss = _scores(deltas)
     reconstructed = 0.0
-    if sip_12 > 0:
-        reconstructed += sip_12 * gain
-    if sip_21 > 0:
-        reconstructed += sip_21 * -loss
-    return delta_mue, reconstructed
+    if n_gain:
+        reconstructed += n_gain / deltas.size * gain
+    if n_loss:
+        reconstructed += n_loss / deltas.size * loss
+    return float(mue_1 - mue_2), reconstructed
 
 
 @dataclass(frozen=True)
@@ -166,11 +165,9 @@ class DeltaEcdfReport:
 
 
 def _percentile_ci(values):
-    vals = np.asarray(values, dtype=float)
-    vals = vals[~np.isnan(vals)]
-    if vals.size == 0:
+    if values.size == 0:
         return None, None
-    lo, hi = percentile(vals, [2.5, 97.5])
+    lo, hi = percentile(values, [2.5, 97.5])
     return float(lo), float(hi)
 
 
@@ -233,19 +230,9 @@ def delta_ecdf(e1, e2, plan, labels=("M1", "M2"), system_ids=None, uncertainty_b
         sums[lo : lo + idx.shape[0]] = weighted_sums(counts, terms)
     band_lo, band_hi = _percentile_band(below, n_prime)
 
-    sip_val = float((deltas < 0).mean())
     n_gain, gain_sum, n_loss, loss_sum, delta_sum = sums.T
-    sip_boot = n_gain / n_prime
-    # Replicates with no strict gain (or loss) leave MG (or ML) undefined: NaN.
-    mg_boot = np.where(n_gain > 0, gain_sum / np.maximum(n_gain, 1), np.nan)
-    ml_boot = np.where(n_loss > 0, loss_sum / np.maximum(n_loss, 1), np.nan)
-    dmue_boot = delta_sum / n_prime
-
-    mg_val = _mean_gain(deltas)
-    ml_neg = _mean_gain(-deltas)
-    ml_val = None if ml_neg is None else -ml_neg
-    mue_1, mue_2 = evaluate_rows(_MUE, np.stack([a, b]))
-    dmue_val = float(mue_1 - mue_2)
+    has_gain, has_loss = n_gain > 0, n_loss > 0  # the replicates where MG (ML) is defined
+    gains, losses, mg_val, ml_val = _scores(deltas)
     ordered_ids = None
     if system_ids is not None:
         ordered_ids = [system_ids[i] for i in order]
@@ -256,10 +243,10 @@ def delta_ecdf(e1, e2, plan, labels=("M1", "M2"), system_ids=None, uncertainty_b
         band_lo=band_lo,
         band_hi=band_hi,
         system_ids=ordered_ids,
-        sip=ScalarWithCI(sip_val, *_percentile_ci(sip_boot)),
-        mg=ScalarWithCI(mg_val, *_percentile_ci(mg_boot)),
-        ml=ScalarWithCI(ml_val, *_percentile_ci(ml_boot)),
-        delta_mue=ScalarWithCI(dmue_val, *_percentile_ci(dmue_boot)),
-        ties=int((deltas == 0).sum()),
+        sip=ScalarWithCI(gains / n, *_percentile_ci(n_gain / n_prime)),
+        mg=ScalarWithCI(mg_val, *_percentile_ci(gain_sum[has_gain] / n_gain[has_gain])),
+        ml=ScalarWithCI(ml_val, *_percentile_ci(loss_sum[has_loss] / n_loss[has_loss])),
+        delta_mue=ScalarWithCI(mue_decomposition(a, b)[0], *_percentile_ci(delta_sum / n_prime)),
+        ties=n - gains - losses,
         uncertainty_bar=uncertainty_bar,
     )

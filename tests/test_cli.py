@@ -269,6 +269,49 @@ def test_corr_pearson_of_overflowing_values_exits_2(tmp_path, capsys):
     assert "undefined correlation" in capsys.readouterr().err
 
 
+def _subnormal_table(path):
+    """40 rows of errors near 3e-310, below the smallest normal float, and the (40, 2) error array."""
+    rng = np.random.default_rng(61)
+    errors = np.ldexp(rng.integers(100, 300, size=(40, 2)) * rng.choice([-1.0, 1.0], size=(40, 2)), -1036)
+    errors[:, 1] *= 2.0  # the second method's errors are larger, so the pair is not degenerate
+    rows = [f"s{i},0,{-a!r},{-b!r}\n" for i, (a, b) in enumerate(errors.tolist())]
+    path.write_text("System,Ref,M1,M2\n" + "".join(rows))
+    return str(path), errors
+
+
+def test_stats_rmsd_of_subnormal_errors_is_the_true_rmsd(tmp_path, capsys):
+    # Squaring 3e-310 underflows to 0, so the unscaled formula printed 0 +/- 0.
+    table, errors = _subnormal_table(tmp_path / "tiny.csv")
+    out = tmp_path / "rmsd.json"
+    assert run(["stats", table, "--stat", "rmsd", "--boot", "200", "--json", str(out)]) == 0
+    rows = json.loads(out.read_text())["report"]["per_method"]
+    stdout = capsys.readouterr().out
+    for row, e in zip(rows, errors.T):
+        true = np.ldexp(np.std(np.ldexp(e, 1000), ddof=1), -1000)
+        assert abs(row["value"] - true) <= 1e-12 * true
+        assert f"{row['value']:>12.5g}" in stdout and row["se"] > 0.0
+
+
+def test_stats_mue_of_subnormal_errors_has_nonzero_standard_errors(tmp_path, capsys):
+    table, _ = _subnormal_table(tmp_path / "tiny.csv")
+    out = tmp_path / "mue.json"
+    assert run(["stats", table, "--stat", "mue", "--boot", "200", "--json", str(out)]) == 0
+    rows = json.loads(out.read_text())["report"]["per_method"]
+    assert all(row["se"] > 0.0 for row in rows)
+    lines = capsys.readouterr().out.splitlines()[2:]
+    assert len(lines) == 2 and all(float(line.split()[-1]) > 0.0 for line in lines)
+
+
+def test_compare_rmsd_of_subnormal_errors_is_not_degenerate(tmp_path, capsys):
+    table, _ = _subnormal_table(tmp_path / "tiny.csv")
+    out = tmp_path / "compare.json"
+    assert run(["compare", table, "--pair", "M1,M2", "--stat", "rmsd", "--boot", "200", "--json", str(out)]) == 0
+    report = json.loads(out.read_text())["report"]
+    assert report["u_diff"] > 0.0 and report["xi"] is not None
+    assert not report["degenerate"] and report["s1"] != report["s2"]
+    assert "degenerate" not in capsys.readouterr().out
+
+
 def test_stats_and_compare_csv(data, tmp_path):
     stats_csv = tmp_path / "stats.csv"
     comp_csv = tmp_path / "comp.csv"

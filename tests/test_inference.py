@@ -266,6 +266,68 @@ def test_p_inv_equals_half_p_g_without_ties():
     assert primary >= 0.9 * checked
 
 
+def _p_inv_by_sign(d, s1, s2):
+    """p_inv as it was written with np.sign, the null differences subtracted again."""
+    if s1 == s2:
+        return 0.5
+    return (int((np.sign(d) != np.sign(s1 - s2)).sum()) - int((d == 0).sum())) / d.size
+
+
+def _rank_matrix_by_inverse_permutation(stats, orientation, B):
+    """P_r counted from each replicate's inverse permutation, the ranks of the methods."""
+    order = np.argsort(stats if orientation == "lower" else -stats, axis=1, kind="stable")
+    k = order.shape[1]
+    ranks = np.empty_like(order)
+    np.put_along_axis(ranks, order, np.broadcast_to(np.arange(k), order.shape), axis=1)
+    p = np.empty((k, k))
+    for j in range(k):
+        p[j] = np.bincount(ranks[:, j], minlength=k) / B
+    return p
+
+
+def _planted_tables(seed, count):
+    """Random error tables, N in 2..60 and K in 2..6, where columns share |errors| on random rows."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n, k = int(rng.integers(2, 61)), int(rng.integers(2, 7))
+        errors = rng.standard_t(df=3, size=(n, k))
+        for j, src in enumerate(rng.integers(0, k, size=k)):
+            rows = rng.random(n) < rng.random()
+            errors[rows, j] = errors[rows, src] * rng.choice([-1.0, 1.0], size=int(rows.sum()))
+        yield errors
+
+
+ORACLE_KINDS = (MSE, MUE, StatKind.rmsd(), StatKind.quantile(0.95), StatKind.quantile(0.9, "type7"))
+
+
+def test_counts_and_standard_deviations_equal_the_unshared_formulas_bit_for_bit():
+    # The formulas each caller had before the sign counts, the rank counts
+    # and the sample SD were shared, on every statistic at B = 100 and 257.
+    zero_diffs = 0
+    for t, errors in enumerate(_planted_tables(79, 200)):
+        kind, plan = ORACLE_KINDS[t % 5], BootstrapPlan(B=(100, 257)[t % 2], seed=t)
+        orientation = ("lower", HIGHER_IS_RANK1)[t % 3 == 0]
+        matrix = _em(list(errors.T))
+        stats = replicate_stats(errors, kind, plan)
+        d = stats[:, 0] - stats[:, 1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            comp = compare_pair(matrix, 0, 1, kind, plan)
+            rm = rank_probability_matrix(matrix, kind, plan, orientation)
+        sds = [float(v.std(ddof=1)) for v in (stats[:, 0], stats[:, 1], d)]
+        assert np.array_equal([comp.u1, comp.u2, comp.u_diff], sds, equal_nan=True)
+        assert np.array_equal([bootstrap_se(errors[:, 0], kind, plan)], sds[:1], equal_nan=True)
+        for s1, s2 in ((comp.s1, comp.s2), (comp.s2, comp.s1), (comp.s1, comp.s1)):
+            assert np.array_equal([p_inv(d, s1, s2)], [_p_inv_by_sign(d, s1, s2)], equal_nan=True)
+        assert comp.n_zero_diffs == int((d == 0).sum())
+        zero_diffs += comp.n_zero_diffs
+        assert np.array_equal(rm.p, _rank_matrix_by_inverse_permutation(stats, orientation, plan.B), equal_nan=True)
+        if kind == StatKind.rmsd():
+            sds = [c[None, :].std(axis=1, ddof=1)[0] for c in errors.T]
+            assert np.array_equal([evaluate(kind, c) for c in errors.T], sds, equal_nan=True)
+    assert zero_diffs > 0
+
+
 # ------------------------------------------------------------- compare_pair
 
 def test_compare_pair_identical_columns():

@@ -5,7 +5,7 @@ import pytest
 
 from errstat.cli import run
 from errstat.dataset import ErrorMatrix
-from errstat.inference import BootstrapPlan
+from errstat.inference import BootstrapPlan, resample_indices
 from errstat.sip import (
     abs_error_deltas,
     delta_ecdf,
@@ -105,6 +105,70 @@ def test_sip_matrix_matches_pairwise_oracle():
     np.testing.assert_allclose(report.msip, report.sip.sum(axis=1) / 4)
 
 
+def _sip_matrix_per_ordered_pair(errors):
+    """(SIP, MG, ML, ties) scored once per ordered pair, as sip_matrix did before it mirrored each unordered pair."""
+    k = errors.shape[1]
+    sip = np.zeros((k, k))
+    mg = np.full((k, k), np.nan)
+    ties = np.zeros((k, k), dtype=int)
+    for i in range(k):
+        for j in range(k):
+            if i == j:
+                continue
+            deltas = abs_error_deltas(errors[:, i], errors[:, j])
+            sip[i, j] = float((deltas < 0).mean())
+            ties[i, j] = int((deltas == 0).sum())
+            neg = deltas[deltas < 0]
+            if neg.size:
+                mg[i, j] = float(neg.mean())
+    return sip, mg, -mg.T, ties
+
+
+def _planted_tables(seed, count, n_min):
+    """Random error tables, N in n_min..60 and K in 2..6, where columns share |errors| on random rows."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n, k = int(rng.integers(n_min, 61)), int(rng.integers(2, 7))
+        errors = rng.standard_t(df=3, size=(n, k))
+        for j, src in enumerate(rng.integers(0, k, size=k)):
+            rows = rng.random(n) < rng.random()
+            errors[rows, j] = errors[rows, src] * rng.choice([-1.0, 1.0], size=int(rows.sum()))
+        yield errors
+
+
+def test_sip_matrix_equals_the_per_ordered_pair_loop_bit_for_bit():
+    ties = 0
+    for errors in _planted_tables(71, 200, n_min=1):
+        report = sip_matrix(_em(list(errors.T)))
+        expected = _sip_matrix_per_ordered_pair(errors)
+        for got, want in zip((report.sip, report.mg, report.ml, report.ties), expected):
+            assert np.array_equal(got, want, equal_nan=True)
+        ties += int(report.ties.sum() - np.trace(report.ties))
+    assert ties > 0
+
+
+def test_pair_scores_equal_the_separate_formulas_bit_for_bit():
+    # The point values of delta_ecdf and mue_decomposition as they were
+    # computed before one helper scored the gains and losses.
+    for t, errors in enumerate(_planted_tables(73, 200, n_min=2)):
+        e1, e2 = errors[:, 0], errors[:, 1]
+        d = abs_error_deltas(e1, e2)
+        neg, pos = d[d < 0], -d[d > 0]
+        mg = float(neg.mean()) if neg.size else None
+        ml = -float(pos.mean()) if pos.size else None
+        mue_1, mue_2 = np.abs(e1).mean(), np.abs(e2).mean()
+        report = delta_ecdf(e1, e2, BootstrapPlan(B=(100, 257)[t % 2], seed=t))
+        assert (report.sip.value, report.mg.value, report.ml.value, report.ties) == (
+            float((d < 0).mean()), mg, ml, int((d == 0).sum()))
+        assert report.delta_mue.value == float(mue_1 - mue_2)
+        reconstructed = 0.0
+        if (d < 0).mean() > 0:
+            reconstructed += float((d < 0).mean()) * mg
+        if (d > 0).mean() > 0:
+            reconstructed += float((d > 0).mean()) * ml
+        assert mue_decomposition(e1, e2) == (float(mue_1 - mue_2), reconstructed)
+
+
 def test_sip_identities_on_random_matrices():
     rng = np.random.default_rng(29)
     for _ in range(60):
@@ -178,6 +242,34 @@ def test_delta_ecdf_consistency_and_band():
     assert report.sip.lo <= report.sip.value <= report.sip.hi
     rows = list(report.rows())
     assert len(rows) == 25
+
+
+def test_delta_ecdf_intervals_match_a_mean_per_replicate():
+    # Few systems and mostly losses, so many replicates have no gain and
+    # are left out of the MG interval.  The engine sums in sorted-delta
+    # order, so the intervals agree to rounding, not bit for bit.
+    rng = np.random.default_rng(59)
+    for t in range(40):
+        n = int(rng.integers(2, 8))
+        e2 = rng.normal(size=n)
+        e1 = e2 * np.where(rng.random(n) < 0.2, 0.5, 2.0)
+        plan = BootstrapPlan(B=(100, 257)[t % 2], seed=t, n_prime=(None, max(2, n - 1))[t % 3 == 0])
+        report = delta_ecdf(e1, e2, plan)
+        d = abs_error_deltas(e1, e2)
+        reps = [d[resample_indices(plan, j, n)] for j in range(plan.B)]
+        per_replicate = {
+            "sip": [(r < 0).mean() for r in reps],
+            "mg": [r[r < 0].mean() for r in reps if (r < 0).any()],
+            "ml": [r[r > 0].mean() for r in reps if (r > 0).any()],
+            "delta_mue": [r.mean() for r in reps],
+        }
+        for name, values in per_replicate.items():
+            s = getattr(report, name)
+            if not values:
+                assert (s.lo, s.hi) == (None, None)
+                continue
+            lo, hi = np.percentile(values, [2.5, 97.5])
+            assert s.lo == pytest.approx(lo, rel=1e-12, abs=1e-15) and s.hi == pytest.approx(hi, rel=1e-12, abs=1e-15)
 
 
 def test_delta_ecdf_sip_interval_coverage():

@@ -1,0 +1,164 @@
+"""Byte-for-byte comparison of errstat's CLI outputs at a git revision and in the working tree.
+
+Usage (from the root of an errstat checkout):
+
+    python3 tools/diff_outputs.py HEAD~1
+
+REV is extracted with `git archive` and the working tree's files are
+copied (tracked and untracked, not ignored), each into its own temporary
+directory, by the steps of tools/bench_pairs.py.  Both sides then run one
+fixed set of seeded invocations, each in a fresh interpreter with the
+side's `src` on PYTHONPATH, in a directory of its own and with the same
+argv on both sides.  The set covers every subcommand, statistic and
+quantile method, `--nprime`, `--orientation higher` and `sip --pair` at
+B = 1000 and B = 257, on the perfbench tables with N = 6, 37, 100 and 5000
+(perfbench/gen.py of the working tree, K = 10, seed 7), on
+tests/data/golden.csv and on a table of errors near 3e-310, below the
+smallest normal float.
+
+Every difference in exit code, stdout, stderr or a written file is
+printed, the text ones as a unified diff; the exit status is 1 if
+anything differs.  Only the standard library is used.
+"""
+
+import difflib
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_pairs import checkout_parent, copy_working_tree, git  # noqa: E402
+
+TABLE_SIZES = (6, 37, 100, 5000)
+SEED = ["--seed", "17"]
+WORKERS = 2  # the two sides of one invocation run side by side
+RUN_TIMEOUT_S = 300
+
+
+def write_tables(tree, dest):
+    """The perfbench tables, golden.csv and the subnormal table in dest; returns {name: path}."""
+    gen = ("import sys; sys.path.insert(0, 'perfbench'); import gen\n"
+           f"for n in {TABLE_SIZES!r}:\n"
+           f"    gen.write_table(f'{dest}/n{{n}}.csv', *gen.make_table(n, 10, 7))\n")
+    subprocess.run([sys.executable, "-c", gen], cwd=tree, check=True)
+    shutil.copy(tree / "tests" / "data" / "golden.csv", dest / "golden.csv")
+    # Errors k * 2**-1036 with k in 150..306, one column of mixed sign: exact, 2e-310 to 4.2e-310.
+    rows = [f"s{i},0,{-(150 + 4 * i) * 2.0**-1036!r},{(160 + 3 * i) * (-1) ** i * 2.0**-1036!r}" for i in range(40)]
+    (dest / "subnormal.csv").write_text("\n".join(["System,Ref,M01,M02", *rows]) + "\n")
+    return {p.stem: p for p in sorted(dest.glob("*.csv"))}
+
+
+def invocations(tables):
+    """(name, argv) of every invocation; written files go to out.<ext> in the working directory."""
+    out = []
+
+    def add(name, *argv, files=()):
+        out.append((name, [*argv, *(a for ext in files for a in (f"--{ext}", f"out.{ext}"))]))
+
+    for t, path in tables.items():
+        if t == "subnormal":
+            continue
+        table = str(path)
+        nprime = "4" if t == "n6" else "20"
+        for stat in (["mse"], ["mue"], ["rmsd"], ["q95"], ["q95", "--quantile-method", "type7"], ["q90"],
+                     ["q", "--q", "0.8"]):
+            add(f"{t}/stats/{'-'.join(stat)}", "stats", table, "--stat", *stat, *SEED, files=("json", "csv"))
+        for stat in (["mse"], ["mue"], ["rmsd"], ["q95"], ["q95", "--quantile-method", "type7"]):
+            add(f"{t}/compare/{'-'.join(stat)}", "compare", table, "--pair", "M01,M02", "--stat", *stat, *SEED,
+                files=("json", "csv"))
+        add(f"{t}/compare/mue-swapped", "compare", table, "--pair", "M02,M01", *SEED, files=("json",))
+        add(f"{t}/sip", "sip", table, files=("json", "csv", "svg"))
+        add(f"{t}/sip-pair/B1000", "sip", table, "--pair", "M01,M03", "--ubar", "0.3", *SEED,
+            files=("json", "csv", "ecdf", "abs-ecdf"))
+        add(f"{t}/sip-pair/B257", "sip", table, "--pair", "M02,M01", "--boot", "257", "--quantile-method", "type7",
+            *SEED, files=("json", "csv", "abs-ecdf"))
+        for corr in ([], ["--pearson"], ["--on", "values"], ["--pearson", "--on", "values"]):
+            add(f"{t}/corr/{'-'.join(corr) or 'spearman'}", "corr", table, *corr, files=("json", "csv", "svg"))
+        add(f"{t}/rank/mue", "rank", table, "--stat", "mue", *SEED, files=("json", "csv", "svg"))
+        add(f"{t}/rank/q95-type7", "rank", table, "--stat", "q95", "--quantile-method", "type7", *SEED,
+            files=("json",))
+        add(f"{t}/rank/rmsd-higher", "rank", table, "--stat", "rmsd", "--orientation", "higher", *SEED,
+            files=("json", "csv"))
+        add(f"{t}/rank/mse-nprime", "rank", table, "--stat", "mse", "--nprime", nprime, *SEED, files=("json",))
+        add(f"{t}/compare/unknown-method", "compare", table, "--pair", "M01,NOPE")
+    sim = ["--reps", "100", "--boot", "100", *SEED]
+    add("simulate/gh", "simulate", "gh", "--g", "0.2", "--h", "0.1", "--n", "50", *SEED, files=("json", "csv"))
+    add("simulate/type1-mue", "simulate", "type1", "--stat", "mue", "--n", "20", "--rho", "0.5", *sim,
+        files=("json",))
+    add("simulate/type1-rmsd", "simulate", "type1", "--stat", "rmsd", "--n", "20", *sim, files=("json",))
+    add("simulate/type1-q95-type7", "simulate", "type1", "--stat", "q95", "--quantile-method", "type7",
+        "--n", "20", *sim, files=("csv",))
+    add("simulate/hdstudy", "simulate", "hdstudy", "--n", "15,30", "--reps", "100", *SEED, files=("json", "csv"))
+    add("simulate/corrtransfer", "simulate", "corrtransfer", "--n", "20", "--rho=-0.5,0.5", "--reps", "100",
+        *SEED, files=("json",))
+    sub = str(tables["subnormal"])
+    for stat in ("mse", "mue", "rmsd", "q95"):
+        add(f"subnormal/stats/{stat}", "stats", sub, "--stat", stat, *SEED, files=("json",))
+        add(f"subnormal/compare/{stat}", "compare", sub, "--pair", "M01,M02", "--stat", stat, *SEED,
+            files=("json",))
+    return out
+
+
+def run_one(tree, workdir, argv):
+    """Exit code, stdout, stderr and written files of one invocation, as bytes."""
+    workdir.mkdir(parents=True)
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", "from errstat.cli import main; main()", *argv], cwd=workdir,
+                          env=env, capture_output=True, timeout=RUN_TIMEOUT_S)
+    files = {p.name: p.read_bytes() for p in sorted(workdir.iterdir())}
+    return {"exit code": str(proc.returncode).encode(), "stdout": proc.stdout, "stderr": proc.stderr, **files}
+
+
+def differences(name, old, new):
+    """Printable lines for every stream of one invocation that differs between the sides."""
+    lines = []
+    for stream in sorted(set(old) | set(new)):
+        a, b = old.get(stream), new.get(stream)
+        if a == b:
+            continue
+        if a is None or b is None:
+            lines.append(f"{name}: {stream} written only by the {'working tree' if a is None else 'revision'}")
+            continue
+        diff = list(difflib.unified_diff(a.decode(errors="replace").splitlines(),
+                                         b.decode(errors="replace").splitlines(),
+                                         f"{name}: {stream} (revision)", f"{name}: {stream} (working tree)",
+                                         lineterm=""))
+        lines.extend(diff or [f"{name}: {stream} differs in bytes, not in lines ({len(a)} vs {len(b)} bytes)"])
+    return lines
+
+
+def main(argv=None):
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1 or args[0].startswith("-"):
+        print(__doc__.split("\n\n")[1].strip(), file=sys.stderr)
+        return 2
+    root = Path(git(Path.cwd(), "rev-parse", "--show-toplevel"))
+    work = Path(tempfile.mkdtemp(prefix="diff_outputs-"))
+    try:
+        trees = {"revision": work / "revision", "working tree": work / "change"}
+        for tree in (*trees.values(), work / "tables"):
+            tree.mkdir()
+        checkout_parent(root, args[0], trees["revision"])
+        copy_working_tree(root, trees["working tree"])
+        cases = invocations(write_tables(trees["working tree"], work / "tables"))
+        with ThreadPoolExecutor(WORKERS) as pool:
+            results = [[pool.submit(run_one, tree, work / "out" / side / str(i), argv)
+                        for side, tree in trees.items()] for i, (_, argv) in enumerate(cases)]
+            differing = 0
+            for (name, argv), (old, new) in zip(cases, results):
+                lines = differences(name, old.result(), new.result())
+                differing += bool(lines)
+                print("\n".join([f"DIFFERS {name}: errstat {' '.join(argv)}", *lines]) if lines else f"same    {name}",
+                      flush=True)
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+    print(f"{differing} of {len(cases)} invocations differ between {args[0]} and the working tree")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
