@@ -10,6 +10,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 import warnings
 
@@ -293,15 +294,21 @@ def cmd_simulate(args):
     return _study_outputs(args, simulation.hd_convergence_study(config, modes=tuple(args.mode.split(","))))
 
 
-def _size_px(text):
-    """--size as an int, rejected while parsing so a bad value fails before any work."""
-    try:
-        size = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if size < 200:
-        raise argparse.ArgumentTypeError("size must be at least 200 px")
-    return size
+def _checked(convert, ok, message):
+    """A flag type: `convert` the text, then reject it with `message` unless `ok(value)`, before any work."""
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {convert.__name__} value: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(message)
+        return value
+    return parse
+
+
+_size_px = _checked(int, lambda size: size >= 200, "size must be at least 200 px")
+_finite = _checked(float, math.isfinite, "must be a finite number")
 
 
 def _int_list(text):
@@ -339,14 +346,14 @@ def build_parser():
     p = sub.add_parser("compare", parents=[data_base], help="compare one statistic for two methods")
     p.add_argument("--pair", required=True, metavar="M1,M2")
     p.add_argument("--stat", default="mue")
-    p.add_argument("--kappa", type=float, default=1.96, help="significance threshold on xi")
+    p.add_argument("--kappa", type=_finite, default=1.96, help="significance threshold on xi")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("sip", parents=[data_base, figure], help="SIP/MG/ML matrices or a pair delta-ECDF")
     p.add_argument("--pair", metavar="M1,M2", help="report the delta-ECDF of one pair")
     p.add_argument("--ecdf", metavar="PATH", help="write the pair delta-ECDF SVG")
     p.add_argument("--abs-ecdf", metavar="PATH", help="write the pair absolute-error ECDF SVG")
-    p.add_argument("--ubar", type=float, help="dataset uncertainty level to draw on the ECDF")
+    p.add_argument("--ubar", type=_finite, help="dataset uncertainty level to draw on the ECDF")
     p.set_defaults(func=cmd_sip)
 
     p = sub.add_parser("corr", parents=[data_base, figure], help="correlation matrix of error or data sets")

@@ -28,9 +28,9 @@ __all__ = [
 # Warn when the spread of error uncertainties within a column exceeds this
 # ratio (max over median); such datasets break the i.i.d. bootstrap premise.
 EXTREME_UNCERTAINTY_RATIO = 10.0
-# RMSD and every standard error sum squared deviations, each below 4e300, over
-# rows or replicates: far fewer than the 4e7 terms that would overflow a double.
-_MAX_ABS_ERROR = 1e150
+# A sum of N' < 1e8 errors, each at most 1e300, and the difference of two
+# statistics stay finite; RMSD, every SE and Pearson scale by a power of two first.
+_MAX_ABS_ERROR = 1e300
 
 
 class ValidationError(ValueError):

@@ -8,9 +8,10 @@ the classic interpolation estimator known as Q-hat-7.
 RMSD here is the sample standard deviation of the errors about their own
 mean (denominator N-1), not the root mean squared error about zero.
 
-`evaluate_resampled` is the bootstrap's one kernel: every table command
-and the type-I study evaluate resamples through one evaluator, which
-fills scratch arrays it keeps from one index block to the next.
+`_Resampled` is the bootstrap's one kernel: the table commands (through
+`inference.replicate_stats`) and the type-I study bind it to their
+columns, and it fills scratch arrays it keeps from one index block to
+the next.  Any other matrix of samples goes through `evaluate_rows`.
 """
 
 from dataclasses import dataclass
@@ -22,7 +23,6 @@ __all__ = [
     "StatKind",
     "evaluate",
     "evaluate_rows",
-    "evaluate_resampled",
     "sample_sd",
     "resample_counts",
     "weighted_sums",
@@ -188,23 +188,6 @@ def _count(idx, counts, flat):
     return counts
 
 
-def evaluate_resampled(kind, columns, blocks):
-    """Statistic of every column of `columns` (n, K) on every resample.
-
-    Each item of `blocks` is a (b, n') index array whose row r lists the
-    rows of one resample, shared by all columns; an index outside [0, n)
-    raises IndexError.  Returns the stacked (b, K) results: entry [r, k]
-    is `evaluate(kind, columns[row r, k])` and depends on that index row
-    alone, not on the block size or on the other columns.
-    """
-    resampled, out = _Resampled(kind).bind(columns), []
-    for idx in blocks:
-        if idx.size and (idx.min() < 0 or idx.max() >= resampled.n):
-            raise IndexError(f"resample index out of range [0, {resampled.n})")
-        out.append(resampled(idx))
-    return np.concatenate(out)
-
-
 class _Resampled:
     """One statistic of bound columns on index blocks, in scratch arrays reused across calls.
 
@@ -300,9 +283,10 @@ def _hd_weights(n, q):
     Gauss-Legendre on an inner cell, and on the cell [0, h] the positive
     series h(1-h)/a e^L(h) 2F1(a+b, 1; a+1; h) (mirrored at 1).  c is the
     mode, or the mean when a or b is below 2, where the mode may round onto
-    an end.  Cells with L below -100 at both edges (under 1e-40 of the
-    mass) are skipped, as every bootstrap replicate sorts the window, and
-    dividing by the sum of the masses needs no beta function.
+    an end.  L is evaluated once at all n + 1 cell edges; cells with L
+    below -100 at both edges (under 1e-40 of the mass) are skipped, as
+    every bootstrap replicate sorts the window, and dividing by the sum of
+    the masses needs no beta function.
     """
     if n == 1:  # one cell holds all the mass
         return 0, np.ones(1)
@@ -316,26 +300,19 @@ def _hd_weights(n, q):
         return (a - 1.0) * lt + (b - 1.0) * lu
 
     # L is concave, or monotone where a or b is below 1 (never both), so the
-    # edges with L > -100 form one run around c: widen a window of edges
-    # about c until L falls to -100 inside both of its ends, or they meet 0 and 1.
-    i, width = min(int(c * n), n - 1), 16
-    while True:
-        first, last = max(i - width, 0), min(i + 1 + width, n)
-        with np.errstate(divide="ignore", invalid="ignore"):  # the ends t = 0, 1
-            edges = log_ratio(np.arange(first, last + 1) / n)
-        run = np.flatnonzero(edges > -100.0)
-        if (first == 0 or run[0] > 0) and (last == n or run[-1] < edges.size - 1):
-            break
-        width *= 4
-    lo, hi = max(first + int(run[0]) - 1, 0), min(first + int(run[-1]) + 1, n)
+    # edges with L > -100 form one run around c, from the first such edge to the last.
+    with np.errstate(divide="ignore", invalid="ignore"):  # the ends t = 0, 1
+        edges = log_ratio(np.arange(n + 1) / n)
+    run = np.flatnonzero(edges > -100.0)
+    lo, hi = max(int(run[0]) - 1, 0), min(int(run[-1]) + 1, n)
     x = np.arange(lo, hi + 1) / n
     nodes, gw = _GAUSS_LEGENDRE
     half = np.diff(x)[:, None] / 2
     mass = (np.exp(log_ratio(x[:-1, None] + half * (1 + nodes))) * gw).sum(axis=1) * half[:, 0]
     if lo == 0:
-        mass[0] = x[1] * (1 - x[1]) / a * np.exp(edges[1 - first]) * _end_series(a, b, x[1])
+        mass[0] = x[1] * (1 - x[1]) / a * np.exp(edges[1]) * _end_series(a, b, x[1])
     if hi == n:  # 1 - x[-2] is exact, as x[-2] >= 1/2
-        mass[-1] = (1 - x[-2]) * x[-2] / b * np.exp(edges[n - 1 - first]) * _end_series(b, a, 1 - x[-2])
+        mass[-1] = (1 - x[-2]) * x[-2] / b * np.exp(edges[n - 1]) * _end_series(b, a, 1 - x[-2])
     return lo, mass / mass.sum()
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import StatKind, evaluate, evaluate_resampled, sample_sd
+from .estimators import StatKind, _Resampled, evaluate, sample_sd
 
 __all__ = [
     "BootstrapPlan",
@@ -129,8 +129,8 @@ def replicate_stats(columns, kind, plan):
     cols = np.asarray(columns, dtype=float)
     if cols.ndim == 1:
         cols = cols[:, None]
-    blocks = (idx for _, idx in replicate_blocks(plan, cols.shape[0]))
-    return evaluate_resampled(kind, cols, blocks)
+    resampled = _Resampled(kind).bind(cols)
+    return np.concatenate([resampled(idx) for _, idx in replicate_blocks(plan, cols.shape[0])])
 
 
 def bootstrap_se(errors, kind, plan):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import StatKind, _Resampled, evaluate_resampled, evaluate_rows, percentile
+from .estimators import StatKind, _Resampled, evaluate_rows, percentile
 from .correlation import pearson
 from .inference import _MASK64, generalized_p
 
@@ -39,7 +39,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GHParams:
-    """g-and-h shape (g >= 0 asymmetry, h >= 0 tails) plus location/scale."""
+    """g-and-h shape (g >= 0 asymmetry, h >= 0 tails) plus location/scale, all finite."""
 
     g: float = 0.0
     h: float = 0.0
@@ -47,10 +47,10 @@ class GHParams:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if self.g < 0 or self.h < 0:
-            raise ValueError("g and h must be >= 0")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be > 0")
+        if not (0 <= self.g < math.inf and 0 <= self.h < math.inf):  # NaN fails too
+            raise ValueError(f"g and h must be finite and >= 0, got g={self.g}, h={self.h}")
+        if not (math.isfinite(self.mu) and 0 < self.sigma < math.inf):
+            raise ValueError(f"mu must be finite and sigma finite and > 0, got mu={self.mu}, sigma={self.sigma}")
 
     @property
     def label(self):
@@ -339,10 +339,9 @@ def hd_convergence_study(config, modes=("A", "B")):
         base = gh_sample(scen, _HD_BASE_N, _cell_rng(config.seed, 3))
         for ni, n in enumerate(config.n_values):
             rng = _cell_rng(config.seed, 4, ni)
-            idx = rng.integers(0, n, size=(config.reps, n))
-            sub = base[:n]
+            subsets = base[:n][rng.integers(0, n, size=(config.reps, n))]
             for kind, name in ((hd, "hd"), (q7, "type7")):
-                rows.append(("B", n, name, *_spread(evaluate_resampled(kind, sub[:, None], [idx])[:, 0])))
+                rows.append(("B", n, name, *_spread(evaluate_rows(kind, subsets))))
     return StudyResult(
         study="hdstudy",
         columns=("mode", "n", "estimator", "q05", "q25", "q50", "q75", "q95", "n_distinct"),

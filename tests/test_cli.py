@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import math
 import os
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -24,6 +26,7 @@ s08,8.00,7.90,8.20,8.02
 s09,9.00,9.10,8.80,9.04
 s10,10.00,9.85,10.25,9.96
 """
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden.csv")
 
 
 @pytest.fixture()
@@ -110,7 +113,7 @@ def test_error_that_overflows_exits_2_naming_system_and_column(tmp_path, capsys,
      ["stats", "--stat", "mse"]],
 )
 def test_error_whose_square_overflows_exits_2_naming_system_and_column(tmp_path, capsys, argv):
-    # Ref - M1 = 2e300 is finite, but RMSD and the standard errors square it.
+    # Ref - M1 = 2e300 is finite, but above the 1e300 cap on |error|.
     path = tmp_path / "huge.csv"
     rows = [row.rsplit(",", 1)[0] for row in CSV.splitlines()] + ["s11,11.0,11.2,10.9", "s12,12.0,11.9,12.3"]
     path.write_text("\n".join(rows + ["a,1e300,-1e300,1"]) + "\n")
@@ -135,13 +138,29 @@ def test_compare_p_g_does_not_depend_on_the_order_of_the_pair(tmp_path, stat):
     # On this table and seed p* > 1/2 for M01 - M02: a p_g rounded from
     # 1 - p* was 0.03200000000000003 (MSE) and 0.31200000000000006 (Q95)
     # in that order, 0.032 and 0.312 in the other.
-    table = os.path.join(os.path.dirname(__file__), "data", "golden.csv")
     p_g = []
     for pair in ("M01,M02", "M02,M01"):
         out = tmp_path / f"{pair}.json"
-        assert run(["compare", table, "--pair", pair, "--stat", stat, "--seed", "17", "--json", str(out)]) == 0
+        assert run(["compare", GOLDEN, "--pair", pair, "--stat", stat, "--seed", "17", "--json", str(out)]) == 0
         p_g.append(json.loads(out.read_text())["report"]["p_g"])
     assert p_g[0] == p_g[1] == {"mse": 0.032, "q95": 0.312}[stat]
+
+
+def test_compare_identical_columns_is_degenerate(tmp_path, capsys):
+    # Every replicate difference is zero: no xi or p_t, and P_inv = 0.5 by convention.
+    path = tmp_path / "same.csv"
+    rows = [row.rsplit(",", 2)[0] for row in CSV.splitlines()[1:]]
+    path.write_text("\n".join(["System,Ref,M1,M2", *(f"{row},{row.rsplit(',', 1)[1]}" for row in rows)]) + "\n")
+    assert run(["compare", str(path), "--pair", "M1,M2", "--boot", "100"]) == 0
+    out = capsys.readouterr().out
+    assert "xi/p_t undefined (zero bootstrap uncertainty of the difference)" in out
+    assert "p_g = 1   P_inv = 0.5   zero diffs = 100" in out
+    assert "note: s1 == s2, comparison is degenerate (P_inv = 0.5 by convention)" in out
+
+
+def test_pair_of_three_names_exits_2(data, capsys):
+    assert run(["compare", data, "--pair", "M1,M2,M3"]) == 2
+    assert "--pair needs two comma-separated method names, got 'M1,M2,M3'" in capsys.readouterr().err
 
 
 def test_compare_unknown_method_is_validation_error(data, capsys):
@@ -169,6 +188,32 @@ def test_small_figure_size_exits_2_before_any_work(data, tmp_path, capsys, argv)
     assert captured.out == ""
     assert "size must be at least 200 px" in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["compare", "--pair", "M1,M2", "--kappa", "nan"], "argument --kappa: must be a finite number"),
+        (["sip", "--pair", "M1,M2", "--ecdf", "@out", "--ubar", "nan"], "argument --ubar: must be a finite number"),
+        (["corr", "--svg", "@out", "--size", "300.5"], "argument --size: invalid int value: '300.5'"),
+    ],
+)
+def test_bad_flag_value_exits_2_naming_the_flag_before_any_work(data, tmp_path, capsys, argv, message):
+    out, json_out = tmp_path / "figure.svg", tmp_path / "report.json"
+    flags = [str(out) if a == "@out" else a for a in argv[1:]]
+    argv = [argv[0], data, "--boot", "100", "--json", str(json_out), *flags]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert not out.exists() and not json_out.exists()
+
+
+def test_figure_size_sets_the_svg_width_and_height(data, tmp_path):
+    out = tmp_path / "rank.svg"
+    assert run(["rank", data, "--boot", "100", "--svg", str(out), "--size", "300"]) == 0
+    root = ET.fromstring(out.read_text())
+    assert (root.get("width"), root.get("height"), root.get("viewBox")) == ("300", "300", "0 0 300 300")
 
 
 def test_unreadable_file_exits_2(tmp_path, capsys):
@@ -221,6 +266,19 @@ def test_sip_pair_outputs(data, tmp_path):
     assert len(lines) == 11  # header + one row per system
     payload = json.loads(json_out.read_text())
     assert payload["report"]["uncertainty_bar"] == 0.05
+
+
+def test_sip_pair_of_tied_absolute_errors_has_undefined_mg_and_ml(tmp_path, capsys):
+    # M2's errors are M1's negated, so every |e1| - |e2| is 0: SIP = 0 and no gain or loss to average.
+    path = tmp_path / "tied.csv"
+    rows = [row.split(",") for row in CSV.splitlines()[1:]]
+    tied = [f"{s},{r},{m},{2 * float(r) - float(m)!r}" for s, r, m, *_ in rows]
+    path.write_text("\n".join(["System,Ref,M1,M2", *tied]) + "\n")
+    assert run(["sip", str(path), "--pair", "M1,M2", "--boot", "100"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith("    SIP = 0  [0, 0]")
+    assert lines[2:4] == ["     MG: undefined", "     ML: undefined"]
+    assert lines[-1] == "  ties: 10"
 
 
 def test_corr_variants(data, tmp_path):
@@ -310,6 +368,59 @@ def test_compare_rmsd_of_subnormal_errors_is_not_degenerate(tmp_path, capsys):
     assert report["u_diff"] > 0.0 and report["xi"] is not None
     assert not report["degenerate"] and report["s1"] != report["s2"]
     assert "degenerate" not in capsys.readouterr().out
+
+
+# Report keys whose numbers carry the errors' unit; every other number is a probability, count or correlation.
+SCALED_KEYS = {"se", "s1", "s2", "u1", "u2", "u_diff", "mg", "ml", "delta_mue", "deltas", "uncertainty_bar"}
+
+
+def _assert_scaled(got, want, power, path=()):
+    """got is want with every number in the errors' unit times 2**power, bit for bit."""
+    if isinstance(want, dict):
+        assert set(got) == set(want), path
+        for key in want:
+            _assert_scaled(got[key], want[key], power, path + (key,))
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for g, w in zip(got, want):
+            _assert_scaled(g, w, power, path)
+    elif isinstance(want, float) and (SCALED_KEYS & set(path) or path == ("per_method", "value")):
+        assert got == math.ldexp(want, power), path
+    else:
+        assert got == want, path
+
+
+@pytest.mark.parametrize(
+    "argv, outputs",
+    [
+        *((["stats", "--stat", stat], ("csv",)) for stat in ("mse", "mue", "rmsd", "q95")),
+        *((["compare", "--pair", "M01,M02", "--stat", stat], ("csv",)) for stat in ("mue", "q95")),
+        (["rank", "--stat", "mue"], ("csv", "svg")),
+        (["sip"], ("csv", "svg")),
+        (["sip", "--pair", "M01,M03", "--ubar", "@ubar"], ("csv", "ecdf", "abs-ecdf")),
+        (["corr"], ("csv", "svg")),
+        (["corr", "--pearson"], ("csv", "svg")),
+    ],
+)
+def test_golden_table_near_1e298_is_the_scaled_report(tmp_path, capsys, argv, outputs):
+    # Every cell times 2**990, which is exact: cells up to 4e299, errors up to 2.1e298, below the 1e300 cap.
+    power = 990
+    with open(GOLDEN) as fh:
+        header, *rows = [line.rstrip("\n") for line in fh if not line.startswith("#")]
+    scaled = tmp_path / "scaled.csv"
+    scaled.write_text("\n".join([header, *(",".join([row.split(",")[0], *(
+        repr(math.ldexp(float(v), power)) for v in row.split(",")[1:])]) for row in rows)]) + "\n")
+    reports = []
+    for table, p in ((GOLDEN, 0), (str(scaled), power)):
+        ubar = repr(math.ldexp(0.3, p))
+        files = [tmp_path / f"{p}.{ext}" for ext in ("json", *outputs)]
+        flags = [a for ext, f in zip(("json", *outputs), files) for a in (f"--{ext}", str(f))]
+        assert run([argv[0], table, *(ubar if a == "@ubar" else a for a in argv[1:]), "--boot", "200", *flags]) == 0
+        out = capsys.readouterr().out
+        for text in (out, *(f.read_text() for f in files)):
+            assert not re.search(r"(?i)\b(nan|inf)", text)
+        reports.append(json.loads(files[0].read_text())["report"])
+    _assert_scaled(reports[1], reports[0], power)
 
 
 def test_stats_and_compare_csv(data, tmp_path):
@@ -404,6 +515,30 @@ def test_simulate_gh_infinite_variance_exits_2(tmp_path, capsys, shape, message)
     assert out == ""
     assert err.startswith("error: ") and message in err and len(err.splitlines()) == 1
     assert not json_out.exists() and not csv_out.exists()
+
+
+@pytest.mark.parametrize(
+    "shape, message",
+    [
+        (["--h", "nan"], "g and h must be finite and >= 0, got g=0.0, h=nan"),
+        (["--sigma", "nan"], "sigma finite and > 0, got mu=0.0, sigma=nan"),
+        (["--mu", "inf"], "mu must be finite and sigma finite and > 0, got mu=inf, sigma=1.0"),
+        (["--sigma", "inf"], "sigma finite and > 0, got mu=0.0, sigma=inf"),
+    ],
+)
+def test_simulate_gh_non_finite_shape_exits_2(tmp_path, capsys, shape, message):
+    json_out = tmp_path / "gh.json"
+    assert run(["simulate", "gh", *shape, "--n", "5", "--json", str(json_out)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and message in err and len(err.splitlines()) == 1
+    assert not json_out.exists()
+
+
+def test_simulate_unknown_scenario_exits_2_naming_it(capsys):
+    assert run(["simulate", "type1", "--stat", "mue", "--n", "20", "--reps", "100", "--boot", "100",
+                "--scenarios", "normal,bogus"]) == 2
+    assert "unknown scenario 'bogus'; available: normal, heavy, asym, heavyasym" in capsys.readouterr().err
 
 
 def test_simulate_type1(tmp_path, capsys):

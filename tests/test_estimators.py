@@ -6,8 +6,8 @@ from scipy import integrate
 
 from errstat.estimators import (
     StatKind,
+    _Resampled,
     evaluate,
-    evaluate_resampled,
     evaluate_rows,
     median,
     percentile,
@@ -90,7 +90,8 @@ def test_resampled_quantiles_equal_gathered_rows(kind):
     for n in (2, 3, 40, 700):
         cols = np.round(rng.normal(size=(n, 2)), 1)  # many exact ties
         idx = rng.integers(0, n, size=(30, n))
-        got = evaluate_resampled(kind, cols, [idx, idx[:1]])
+        resampled = _Resampled(kind).bind(cols)
+        got = np.concatenate([resampled(idx), resampled(idx[:1])])
         want = [[evaluate(kind, cols[row, k]) for k in range(2)] for row in np.vstack([idx, idx[:1]])]
         assert np.array_equal(got, want)
 

@@ -18,7 +18,7 @@ import pytest
 
 import errstat.inference as inf
 from errstat.dataset import ErrorMatrix
-from errstat.estimators import StatKind, _Resampled, evaluate, evaluate_resampled, resample_counts, weighted_sums
+from errstat.estimators import StatKind, _Resampled, evaluate, resample_counts, weighted_sums
 from errstat.inference import (
     BootstrapPlan,
     compare_pair,
@@ -284,8 +284,8 @@ def test_resample_indices_threads_each_keep_their_own_stream():
 def test_reused_evaluator_equals_a_fresh_one():
     # One evaluator, bound in turn to columns of other sizes and called on
     # blocks of other shapes, reuses or regrows its scratch arrays (the
-    # int32 ranks of n > 2**15 included); each result equals a fresh
-    # evaluate_resampled and is not overwritten by the calls after it.
+    # int32 ranks of n > 2**15 included); each result equals that of a
+    # freshly built evaluator and is not overwritten by the calls after it.
     rng = np.random.default_rng(11)
     shapes = ((60, 60, 50), (40, 25, 70), (60, 60, 20), (300, 120, 10), (7, 3, 50), (40000, 100, 4), (60, 60, 50))
     for kind in KINDS:
@@ -295,7 +295,7 @@ def test_reused_evaluator_equals_a_fresh_one():
             for _ in range(2):
                 idx = rng.integers(0, n, size=(b, n_prime))
                 got = resampled.bind(cols)(idx)
-                want = evaluate_resampled(kind, cols, [idx])
+                want = _Resampled(kind).bind(cols)(idx)
                 assert np.array_equal(got, want)
                 kept.append((got, want))
         assert all(np.array_equal(got, want) for got, want in kept)
@@ -313,18 +313,6 @@ def test_counts_of_blocks_wider_than_the_flat_scratch():
         cols = _tied_columns(rng, n, 2)
         got = _Resampled(StatKind.mse()).bind(cols)(idx)
         assert np.array_equal(got, weighted_sums(want, np.ascontiguousarray(cols.T)) / n_prime)
-
-
-@pytest.mark.parametrize("kind", KINDS)
-def test_evaluate_resampled_rejects_indices_out_of_range(kind):
-    # The evaluator gathers with mode="clip", so the range is checked before it.
-    cols = np.arange(12.0).reshape(6, 2)
-    good = np.zeros((3, 6), dtype=np.intp)
-    for bad in (6, -1, 2**40):
-        idx = good.copy()
-        idx[1, 2] = bad
-        with pytest.raises(IndexError):
-            evaluate_resampled(kind, cols, [good, idx])
 
 
 def _type1_minor_faults(stat, reps):

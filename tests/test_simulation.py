@@ -3,7 +3,7 @@ import pytest
 
 import errstat.simulation as simulation
 from errstat.correlation import pearson
-from errstat.estimators import StatKind, evaluate_resampled
+from errstat.estimators import StatKind, _Resampled
 from errstat.simulation import (
     GHParams,
     SCENARIOS,
@@ -211,9 +211,9 @@ def test_type1_study_smoke_and_determinism():
 
 
 def _boot_diff_block(e1, e2, kind, B, rng):
-    """The type-I study's old per-repetition path: a fresh evaluate_resampled on one index block."""
+    """The type-I study's old per-repetition path: a freshly built evaluator on one index block."""
     idx = rng.integers(0, e1.shape[0], size=(B, e1.shape[0]))
-    stats = evaluate_resampled(kind, np.column_stack([e1, e2]), [idx])
+    stats = _Resampled(kind).bind(np.column_stack([e1, e2]))(idx)
     return stats[:, 0] - stats[:, 1]
 
 
@@ -255,6 +255,34 @@ def test_hd_study_mode_b_smoothness():
     result = hd_convergence_study(config, modes=("B",))
     distinct = {row[2]: row[8] for row in result.rows}
     assert distinct["hd"] > distinct["type7"]
+
+
+@pytest.mark.parametrize("planted", [False, True])
+def test_hd_study_mode_b_equals_the_resampling_kernel(planted, monkeypatch):
+    # Mode B evaluates its gathered subsets row by row; each estimate must
+    # equal the bootstrap kernel's on the same index rows, ties and -0.0 included.
+    real = simulation.gh_sample
+
+    def base(params, size, rng):
+        x = real(params, size, rng)
+        return np.where(np.arange(size) % 3 == 0, -0.0, np.round(x, 1)) if planted else x
+
+    spread, seen = simulation._spread, []
+    monkeypatch.setattr(simulation, "gh_sample", base)
+    monkeypatch.setattr(simulation, "_spread", lambda est: seen.append(est.copy()) or spread(est))
+    for scen in SCENARIOS.values():
+        config = StudyConfig(n_values=(10, 37, 500), reps=100, seed=6, gh_scenarios=(scen,),
+                             statistic=StatKind.quantile(0.9))
+        seen.clear()
+        hd_convergence_study(config, modes=("B",))
+        sample = base(scen, simulation._HD_BASE_N, _cell_rng(config.seed, 3))
+        want = []
+        for ni, n in enumerate(config.n_values):
+            idx = _cell_rng(config.seed, 4, ni).integers(0, n, size=(config.reps, n))
+            for method in ("hd", "type7"):
+                want.append(_Resampled(StatKind.quantile(0.9, method)).bind(sample[:n, None])(idx)[:, 0])
+        assert len(seen) == len(want) == 6
+        assert all(np.array_equal(a, b) for a, b in zip(seen, want))
 
 
 def test_hd_study_mode_a_summaries():

@@ -13,8 +13,9 @@ argv on both sides.  The set covers every subcommand, statistic and
 quantile method, `--nprime`, `--orientation higher` and `sip --pair` at
 B = 1000 and B = 257, on the perfbench tables with N = 6, 37, 100 and 5000
 (perfbench/gen.py of the working tree, K = 10, seed 7), on
-tests/data/golden.csv and on a table of errors near 3e-310, below the
-smallest normal float.
+tests/data/golden.csv, on that table times 2**990 (errors up to 2.1e298)
+and on a table of errors near 3e-310, below the smallest normal float.
+It also holds the non-finite flag values that must exit 2.
 
 Every difference in exit code, stdout, stderr or a written file is
 printed, the text ones as a unified diff; the exit status is 1 if
@@ -40,12 +41,17 @@ RUN_TIMEOUT_S = 300
 
 
 def write_tables(tree, dest):
-    """The perfbench tables, golden.csv and the subnormal table in dest; returns {name: path}."""
+    """The perfbench tables, golden.csv, its scaled copy and the subnormal table in dest; returns {name: path}."""
     gen = ("import sys; sys.path.insert(0, 'perfbench'); import gen\n"
            f"for n in {TABLE_SIZES!r}:\n"
            f"    gen.write_table(f'{dest}/n{{n}}.csv', *gen.make_table(n, 10, 7))\n")
     subprocess.run([sys.executable, "-c", gen], cwd=tree, check=True)
     shutil.copy(tree / "tests" / "data" / "golden.csv", dest / "golden.csv")
+    # Every number of golden.csv times 2**990, which is exact: cells up to 4e299, errors up to 2.1e298.
+    lines = (tree / "tests" / "data" / "golden.csv").read_text().splitlines()
+    scaled = [line if line.startswith(("#", "System")) else ",".join(
+        [line.split(",")[0], *(repr(float(v) * 2.0**990) for v in line.split(",")[1:])]) for line in lines]
+    (dest / "scaled.csv").write_text("\n".join(scaled) + "\n")
     # Errors k * 2**-1036 with k in 150..306, one column of mixed sign: exact, 2e-310 to 4.2e-310.
     rows = [f"s{i},0,{-(150 + 4 * i) * 2.0**-1036!r},{(160 + 3 * i) * (-1) ** i * 2.0**-1036!r}" for i in range(40)]
     (dest / "subnormal.csv").write_text("\n".join(["System,Ref,M01,M02", *rows]) + "\n")
@@ -60,7 +66,7 @@ def invocations(tables):
         out.append((name, [*argv, *(a for ext in files for a in (f"--{ext}", f"out.{ext}"))]))
 
     for t, path in tables.items():
-        if t == "subnormal":
+        if t in ("subnormal", "scaled"):
             continue
         table = str(path)
         nprime = "4" if t == "n6" else "20"
@@ -95,6 +101,23 @@ def invocations(tables):
     add("simulate/hdstudy", "simulate", "hdstudy", "--n", "15,30", "--reps", "100", *SEED, files=("json", "csv"))
     add("simulate/corrtransfer", "simulate", "corrtransfer", "--n", "20", "--rho=-0.5,0.5", "--reps", "100",
         *SEED, files=("json",))
+    for shape in (["--h", "nan"], ["--sigma", "nan"], ["--mu", "inf"], ["--sigma", "inf"]):
+        add(f"simulate/gh/{shape[0][2:]}-{shape[1]}", "simulate", "gh", *shape, "--n", "50", *SEED,
+            files=("json", "csv"))
+    golden = str(tables["golden"])
+    add("golden/compare/kappa-nan", "compare", golden, "--pair", "M01,M02", "--kappa", "nan", *SEED)
+    add("golden/sip-pair/ubar-nan", "sip", golden, "--pair", "M01,M03", "--ubar", "nan", *SEED,
+        files=("json", "ecdf"))
+    big = str(tables["scaled"])
+    for stat in ("mse", "mue", "rmsd", "q95"):
+        add(f"scaled/stats/{stat}", "stats", big, "--stat", stat, *SEED, files=("json", "csv"))
+        add(f"scaled/compare/{stat}", "compare", big, "--pair", "M01,M02", "--stat", stat, *SEED, files=("json",))
+    add("scaled/rank/mue", "rank", big, "--stat", "mue", *SEED, files=("json", "csv", "svg"))
+    add("scaled/sip", "sip", big, files=("json", "csv", "svg"))
+    add("scaled/sip-pair", "sip", big, "--pair", "M01,M03", "--ubar", repr(0.3 * 2.0**990), *SEED,
+        files=("json", "csv", "ecdf", "abs-ecdf"))
+    for corr in ([], ["--pearson"]):
+        add(f"scaled/corr/{'-'.join(corr) or 'spearman'}", "corr", big, *corr, files=("json", "csv", "svg"))
     sub = str(tables["subnormal"])
     for stat in ("mse", "mue", "rmsd", "q95"):
         add(f"subnormal/stats/{stat}", "stats", sub, "--stat", stat, *SEED, files=("json",))
