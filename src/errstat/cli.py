@@ -270,9 +270,13 @@ def cmd_simulate(args):
         if n < 2:
             raise ValidationError(f"simulate gh needs --n of at least 2, got {n}")
         params = simulation.GHParams(g=args.g, h=args.h, mu=args.mu, sigma=args.sigma)
-        sample = simulation.gh_sample(params, n, simulation._cell_rng(args.seed))
+        with np.errstate(over="ignore", invalid="ignore"):
+            sample = simulation.gh_sample(params, n, simulation._cell_rng(args.seed))
+            mean = sample.mean()
+        if not (np.isfinite(mean) and np.isfinite(sample).all()):
+            raise ValidationError(f"g-and-h sample overflows double precision at mu={params.mu:g}, sigma={params.sigma:g}")
         print(f"g-and-h sample ({params.label}, n={n}, seed={args.seed})")
-        print(f"  mean = {sample.mean():.5g}   sd = {sample_sd(sample):.5g}")
+        print(f"  mean = {mean:.5g}   sd = {sample_sd(sample):.5g}")
         print(f"  min = {sample.min():.5g}   max = {sample.max():.5g}")
         if args.csv:
             _write_csv(args.csv, ("value",), [(v,) for v in sample])

@@ -170,56 +170,14 @@ def _looks_like_inline_csv(s):
     return ("\n" if isinstance(s, str) else b"\n") in s
 
 
-def _bulk_values(body, ncol):
-    """All body cells as one float array, or None when a row needs the per-cell checks.
-
-    numpy's str-to-float accepts exactly what Python's float accepts.
-    """
-    if any(len(row) != ncol for _, row in body):
-        return None
-    try:
-        values = np.array([row[1:] for _, row in body], dtype=float)
-    except ValueError:
-        return None
-    return values if np.isfinite(values).all() else None
+# csv.reader splits a line free of these exactly as str.split(",") does;
+# np.loadtxt strips a cell as str.strip does and reads what float reads, or rejects it.
+_PER_CELL_CHARS = '"\r\0'
 
 
 def _load_csv(fh):
-    rows = [
-        (lineno, row)
-        for lineno, row in enumerate(csv.reader(fh), start=1)
-        if row and not row[0].lstrip().startswith("#")
-    ]
-    if not rows:
-        raise ValidationError("empty input")
-    header, methods, calc_u = _parse_header(rows[0][1])
-    ncol = len(header)
-    body = rows[1:]
-
-    body_values = _bulk_values(body, ncol)
-    if body_values is not None:
-        kept_ids = [row[0].strip() for _, row in body]
-    else:  # per cell: drops incomplete rows and names the offending row and column
-        kept_ids, kept_values = [], []
-        for lineno, row in body:
-            if len(row) != ncol:
-                raise ValidationError(f"row {lineno}: expected {ncol} cells, got {len(row)}")
-            cells = [c.strip() for c in row]
-            if any(c == "" for c in cells[1:]):
-                warnings.warn(f"row {lineno}: missing value, row dropped", stacklevel=3)
-                continue
-            values = []
-            for name, cell in zip(header[1:], cells[1:]):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ValidationError(f"row {lineno}: non-numeric cell {cell!r} in column {name!r}") from None
-                if not math.isfinite(value):
-                    raise ValidationError(f"row {lineno}: non-finite cell {cell!r} in column {name!r}")
-                values.append(value)
-            kept_ids.append(cells[0])
-            kept_values.append(values)
-        body_values = np.asarray(kept_values, dtype=float)
+    lines = fh.readlines()
+    (header, methods, calc_u), kept_ids, body_values = _bulk_rows(lines) or _per_cell_rows(lines)
 
     if len(kept_ids) < 2:
         raise ValidationError(f"need at least 2 systems, got {len(kept_ids)}")
@@ -232,6 +190,67 @@ def _load_csv(fh):
         calc_uncertainty={m: data[n] for m, n in calc_u.items()},
     )
     return table
+
+
+def _bulk_rows(lines):
+    """(parsed header, ids, values) with every value cell converted in one numpy call.
+
+    None when the text or a row needs the per-cell checks: a character from
+    _PER_CELL_CHARS, a row without exactly one cell per column, a cell
+    loadtxt rejects (float may still accept it) or a non-finite value.
+    """
+    text = "".join(lines)
+    if any(c in text for c in _PER_CELL_CHARS):
+        return None
+    kept = [line for line in lines if line != "\n" and not line.lstrip().startswith("#")]
+    if len(kept) < 2:
+        return None
+    head = _parse_header(kept[0].rstrip("\n").split(","))
+    ncol = len(head[0])
+    body = kept[1:]
+    if any(line.count(",") != ncol - 1 for line in body):  # loadtxt ignores cells past usecols
+        return None
+    try:
+        values = np.loadtxt(body, delimiter=",", usecols=range(1, ncol), comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return head, [line.split(",", 1)[0].strip() for line in body], values
+
+
+def _per_cell_rows(lines):
+    """(parsed header, ids, values) read by csv.reader: drops incomplete rows and names the offending row and column."""
+    rows = [
+        (lineno, row)
+        for lineno, row in enumerate(csv.reader(lines), start=1)
+        if row and not row[0].lstrip().startswith("#")
+    ]
+    if not rows:
+        raise ValidationError("empty input")
+    head = _parse_header(rows[0][1])
+    header = head[0]
+    ncol = len(header)
+    kept_ids, kept_values = [], []
+    for lineno, row in rows[1:]:
+        if len(row) != ncol:
+            raise ValidationError(f"row {lineno}: expected {ncol} cells, got {len(row)}")
+        cells = [c.strip() for c in row]
+        if any(c == "" for c in cells[1:]):
+            warnings.warn(f"row {lineno}: missing value, row dropped", stacklevel=4)
+            continue
+        values = []
+        for name, cell in zip(header[1:], cells[1:]):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ValidationError(f"row {lineno}: non-numeric cell {cell!r} in column {name!r}") from None
+            if not math.isfinite(value):
+                raise ValidationError(f"row {lineno}: non-finite cell {cell!r} in column {name!r}")
+            values.append(value)
+        kept_ids.append(cells[0])
+        kept_values.append(values)
+    return head, kept_ids, np.asarray(kept_values, dtype=float)
 
 
 def errors_from_table(table):

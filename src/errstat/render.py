@@ -193,19 +193,15 @@ def _axes(root, box, xlim, ylim, xticks, yticks):
     return sx, sy
 
 
-def _step_points(sx, sy, xs, ys):
-    pts = [(sx(xs[0]), sy(0.0))]
-    prev = 0.0
-    for x, y in zip(xs, ys):
-        pts.append((sx(x), sy(prev)))
-        pts.append((sx(x), sy(y)))
-        prev = y
-    return pts
+def _step_points(xs, ys):
+    """x and y arrays of the staircase that rises from 0 at xs[0] and steps to ys[i] at each xs[i]."""
+    return np.concatenate((xs[:1], np.repeat(xs, 2))), np.repeat(np.concatenate(([0.0], ys)), 2)[:-1]
 
 
-def _polyline(parent, pts, stroke, width="1.5", dash=None, fill="none", cls=None):
+def _polyline(parent, xs, ys, stroke, width="1.5", dash=None, fill="none", cls=None):
+    """A polyline through the pixel coordinates (xs[i], ys[i])."""
     attrs = {
-        "points": " ".join(f"{x:.2f},{y:.2f}" for x, y in pts),
+        "points": " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(np.asarray(xs).tolist(), np.asarray(ys).tolist())),
         "fill": fill,
         "stroke": stroke,
         "stroke-width": width,
@@ -231,16 +227,17 @@ def render_delta_ecdf(report, size_px=600):
     box = (60, 40, w - 20, h - 40)
     sx, sy = _axes(root, box, xlim, (0, 1), xticks=(xlim[0], 0.0, xlim[1]), yticks=(0, 0.5, 1))
 
-    band = [(sx(x), sy(y)) for x, y in zip(deltas, report.band_hi)]
-    band += [(sx(x), sy(y)) for x, y in zip(deltas[::-1], report.band_lo[::-1])]
-    _polyline(root, band, stroke="none", fill="#bdd7ee", cls="band")
-    _polyline(root, _step_points(sx, sy, deltas, report.ecdf), stroke="#1f4e79", cls="ecdf")
+    band_x = np.concatenate((deltas, deltas[::-1]))
+    band_y = np.concatenate((report.band_hi, report.band_lo[::-1]))
+    _polyline(root, sx(band_x), sy(band_y), stroke="none", fill="#bdd7ee", cls="band")
+    x, y = _step_points(deltas, report.ecdf)
+    _polyline(root, sx(x), sy(y), stroke="#1f4e79", cls="ecdf")
     if xlim[0] < 0 < xlim[1]:
-        _polyline(root, [(sx(0), sy(0)), (sx(0), sy(1))], stroke="#888888", width="1", dash="4,3")
+        _polyline(root, [sx(0)] * 2, [sy(0), sy(1)], stroke="#888888", width="1", dash="4,3")
     if report.uncertainty_bar is not None:
         for u in (-report.uncertainty_bar, report.uncertainty_bar):
             if xlim[0] < u < xlim[1]:
-                _polyline(root, [(sx(u), sy(0)), (sx(u), sy(1))], stroke="#ed7d31", width="3", cls="ubar")
+                _polyline(root, [sx(u)] * 2, [sy(0), sy(1)], stroke="#ed7d31", width="3", cls="ubar")
 
     lines = [
         f"{report.labels[0]} vs {report.labels[1]}",
@@ -274,12 +271,12 @@ def render_abs_ecdf(e1, e2, labels, size_px=600, stats=None):
     sx, sy = _axes(root, box, xlim, (0, 1), xticks=(0.0, xlim[1]), yticks=(0, 0.5, 1))
     colors = ("#1f4e79", "#c55a11")
     for arr, color, label, k in ((a1, colors[0], labels[0], 0), (a2, colors[1], labels[1], 1)):
-        ecdf = np.arange(1, arr.size + 1) / arr.size
-        _polyline(root, _step_points(sx, sy, arr, ecdf), stroke=color, cls="ecdf")
+        x, y = _step_points(arr, np.arange(1, arr.size + 1) / arr.size)
+        _polyline(root, sx(x), sy(y), stroke=color, cls="ecdf")
         _text(root, box[2] - 8, 58 + 15 * k, label, size=11, anchor="end", fill=color)
         if stats and label in stats:
             mue, q95 = stats[label]
-            _polyline(root, [(sx(mue), sy(0)), (sx(mue), sy(1))], stroke=color, width="1", dash="2,3")
-            _polyline(root, [(sx(q95), sy(0)), (sx(q95), sy(1))], stroke=color, width="1", dash="7,3")
+            _polyline(root, [sx(mue)] * 2, [sy(0), sy(1)], stroke=color, width="1", dash="2,3")
+            _polyline(root, [sx(q95)] * 2, [sy(0), sy(1)], stroke=color, width="1", dash="7,3")
     _text(root, (box[0] + box[2]) / 2, h - 8, "absolute error", size=11)
     return ET.tostring(root, encoding="unicode")

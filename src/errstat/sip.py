@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import inference
 from .estimators import StatKind, evaluate_rows, lerp, percentile, resample_counts, weighted_sums
 
 __all__ = [
@@ -158,10 +157,7 @@ class DeltaEcdfReport:
     def rows(self):
         """One (system_id, delta, ecdf, band_lo, band_hi) row per system."""
         ids = self.system_ids or [str(i) for i in range(len(self.deltas))]
-        for i in range(len(self.deltas)):
-            yield ids[i], float(self.deltas[i]), float(self.ecdf[i]), float(
-                self.band_lo[i]
-            ), float(self.band_hi[i])
+        return zip(ids, self.deltas.tolist(), self.ecdf.tolist(), self.band_lo.tolist(), self.band_hi.tolist())
 
 
 def _percentile_ci(values):
@@ -176,6 +172,7 @@ def _percentile_band(counts, n_prime):
 
     Division keeps the order, so the two order statistics around each level
     are selected on the integers, then interpolated by numpy's linear rule.
+    After the partition at k, order statistic k + 1 is the least count right of k.
     """
     b = counts.shape[1]
     band = []
@@ -185,8 +182,7 @@ def _percentile_band(counts, n_prime):
         t = v - k
         counts.partition(k, axis=1)
         lo = counts[:, k] / n_prime
-        counts.partition(k + 1, axis=1)
-        hi = counts[:, k + 1] / n_prime
+        hi = counts[:, k + 1 :].min(axis=1) / n_prime
         band.append(lerp(lo, hi, t))
     return band
 
@@ -199,6 +195,8 @@ def delta_ecdf(e1, e2, plan, labels=("M1", "M2"), system_ids=None, uncertainty_b
     difference).  Replicates where MG or ML is undefined (no strict gain
     or loss) are skipped in the corresponding interval.
     """
+    from .inference import replicate_blocks  # here, so that the SIP matrix loads no resampling code
+
     a = np.asarray(e1, dtype=float)
     b = np.asarray(e2, dtype=float)
     deltas = abs_error_deltas(a, b)
@@ -224,7 +222,7 @@ def delta_ecdf(e1, e2, plan, labels=("M1", "M2"), system_ids=None, uncertainty_b
     n_prime = plan.resample_size(n)
     below = np.empty((n, plan.B), dtype=np.min_scalar_type(n_prime))
     sums = np.empty((plan.B, terms.shape[0]))
-    for lo, idx in inference.replicate_blocks(plan, n):
+    for lo, idx in replicate_blocks(plan, n):
         counts = resample_counts(position[idx], n)
         below[:, lo : lo + idx.shape[0]] = np.cumsum(counts, axis=1)[:, ends - 1].T
         sums[lo : lo + idx.shape[0]] = weighted_sums(counts, terms)

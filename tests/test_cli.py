@@ -72,6 +72,14 @@ def test_non_finite_cell_exits_2_naming_row_and_column(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_row_with_an_extra_cell_exits_2_naming_the_row(tmp_path, capsys):
+    # np.loadtxt ignores cells past the columns it reads, so such a table is read cell by cell.
+    path = tmp_path / "extra.csv"
+    path.write_text(CSV.replace("s04,4.00,4.15,3.90,4.05", "s04,4.00,4.15,3.90,4.05,9.9"))
+    assert run(["stats", str(path), "--boot", "100"]) == 2
+    assert capsys.readouterr().err == "error: row 5: expected 5 cells, got 6\n"
+
+
 def test_json_reports_refuse_nan(tmp_path):
     with pytest.raises(ValueError):
         _write_json(str(tmp_path / "r.json"), "stats", {"value": float("nan")})
@@ -532,6 +540,18 @@ def test_simulate_gh_non_finite_shape_exits_2(tmp_path, capsys, shape, message):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and message in err and len(err.splitlines()) == 1
+    assert not json_out.exists()
+
+
+@pytest.mark.parametrize("sigma", ["1e308", "5e307"])  # values overflow; the values are finite but not their mean
+@pytest.mark.parametrize("json_report", [False, True])
+def test_simulate_gh_overflowing_sample_exits_2_naming_mu_and_sigma(tmp_path, capsys, sigma, json_report):
+    json_out = tmp_path / "gh.json"
+    argv = ["simulate", "gh", "--sigma", sigma, "--n", "50"] + (["--json", str(json_out)] if json_report else [])
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: g-and-h sample overflows double precision at mu=0, sigma={float(sigma):g}\n"  # no warning
     assert not json_out.exists()
 
 

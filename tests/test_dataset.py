@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 import re
 import warnings
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from errstat.dataset import (
     ValidationError,
-    _bulk_values,
+    _bulk_rows,
     errors_from_table,
     load_table,
 )
@@ -227,24 +228,152 @@ def test_load_round_trips_ids_and_float_bits(rows, fmt):
     assert got.tobytes() == want.tobytes()  # bit equality: -0.0 is not 0.0
 
 
-# numpy's str-to-float must accept and reject exactly what Python's float does.
+# Cells on which numpy's and Python's str-to-float may disagree; both paths strip a cell first.
 _PROBES = ["1_0", "\u0661\u0662", "\u0663.\u0665", "\u0967\u0968", "  2.5  ", "\xa07\xa0", "infinity",
-           "1e999", "-0", "1e-400", ".5", "5.", "nan", "0x10", "1 2", "1e", "+-1", "True", "", " ", "1__0", "_1"]
+           "1e999", "-0", "1e-400", ".5", "5.", "nan", "0x10", "1 2", "1e", "+-1", "True", "", " ", "1__0", "_1",
+           "1\x1c", "\x1f2"]
 
 
 @pytest.mark.parametrize("cell", _PROBES)
 def test_bulk_conversion_agrees_with_python_float(cell):
+    # The bulk path returns float's value or leaves the table to the per-cell
+    # path, and load_table gives float's value for every finite cell it accepts.
     try:
-        want = float(cell)
+        want = float(cell.strip())
     except ValueError:
         want = None
-    got = _bulk_values([(2, ["a", "1.0", cell])], 3)
-    if want is None or not np.isfinite(want):
-        assert got is None  # the per-cell path decides
-    else:
-        assert got.tobytes() == np.array([[1.0, want]]).tobytes()
+    bulk = _bulk_rows(["System,Ref,M1\n", f"a,1.0,{cell}\n", "b,2.0,3.0\n"])
+    if bulk is not None:
+        assert want is not None and bulk[2][:1].tobytes() == np.array([[1.0, want]]).tobytes()
+    if want is not None and math.isfinite(want):
         table = load_table(f"System,Ref,M1\na,1.0,{cell}\nb,2.0,3.0\n")
         assert table.methods["M1"][:1].tobytes() == np.array([want]).tobytes()
+
+
+def test_quoted_id_may_hold_a_comma():
+    table = load_table('System,Ref,M1\n"a,1", 1.0 ,0.9\n" b",2.0,2.1\n')
+    assert table.system_ids == ["a,1", "b"]
+    assert table.reference.tolist() == [1.0, 2.0] and table.methods["M1"].tolist() == [0.9, 2.1]
+
+
+def test_crlf_file_and_inline_text_with_cr_read_as_lf(tmp_path):
+    want = load_table(BASIC)
+    crlf = BASIC.replace("\n", "\r\n").encode()
+    path = tmp_path / "crlf.csv"
+    path.write_bytes(crlf)
+    for source in (str(path), crlf, crlf.decode(), io.BytesIO(crlf)):
+        table = load_table(source)
+        assert table.system_ids == want.system_ids
+        assert table.methods["M1"].tobytes() == want.methods["M1"].tobytes()
+
+
+def test_blank_and_comment_lines_are_skipped_and_a_whitespace_line_is_a_short_row():
+    table = load_table("\nSystem,Ref,M1\n\na,1,2\n  # note\n#x,y,z\n\nb,2,3")
+    assert table.system_ids == ["a", "b"] and table.methods["M1"].tolist() == [2.0, 3.0]
+    with pytest.raises(ValidationError) as info:
+        load_table("System,Ref,M1\na,1,2\n \t\nb,2,3\n")
+    assert str(info.value) == "row 3: expected 3 cells, got 1"
+
+
+def test_cells_float_reads_and_numpy_rejects_keep_their_values():
+    table = load_table("System,Ref,M1\na,1_0,\u0661\u0662\nb,2,3\n")
+    assert table.reference.tolist() == [10.0, 2.0] and table.methods["M1"].tolist() == [12.0, 3.0]
+
+
+def _reference_load(stream):
+    """(ids, values) of a System,Ref,M1,M2 table read cell by cell; warns and raises as load_table does."""
+    rows = [(n, row) for n, row in enumerate(csv.reader(stream), start=1)
+            if row and not row[0].lstrip().startswith("#")]
+    names = [c.strip() for c in rows[0][1]]
+    if names[0] != "System":  # a whitespace line before the header
+        raise ValidationError("malformed header: first column must be 'System'")
+    ids, values = [], []
+    for n, row in rows[1:]:
+        if len(row) != len(names):
+            raise ValidationError(f"row {n}: expected {len(names)} cells, got {len(row)}")
+        cells = [c.strip() for c in row]
+        if "" in cells[1:]:
+            warnings.warn(f"row {n}: missing value, row dropped")
+            continue
+        parsed = []
+        for name, cell in zip(names[1:], cells[1:]):
+            try:
+                parsed.append(float(cell))
+            except ValueError:
+                raise ValidationError(f"row {n}: non-numeric cell {cell!r} in column {name!r}") from None
+            if not math.isfinite(parsed[-1]):
+                raise ValidationError(f"row {n}: non-finite cell {cell!r} in column {name!r}")
+        ids.append(cells[0])
+        values.append(parsed)
+    if len(ids) < 2:
+        raise ValidationError(f"need at least 2 systems, got {len(ids)}")
+    return ids, values
+
+
+# Cell forms both readers take; str.strip, which the per-cell path applies, and numpy strip the same characters.
+_SAME_FORMS = (repr, lambda v: f" {v!r}\t", lambda v: f"{v:.17e}", lambda v: f"\xa0{v:.17g}", lambda v: f"{v!r}\x1c")
+# Twists only the per-cell path reads: a cell's text, or a change to a row or the lines.
+_TWISTS = ('"{}"', "{}\r", "", " ", "nan", "1e999", "1__0", "1_000.5", "\u0661\u0662.5",
+           "quoted id", "extra cell", "short row", "whitespace line", "CRLF")
+
+
+@st.composite
+def _tables(draw):
+    """A System,Ref,M1,M2 table: numbers both readers take, blank and comment lines, and up to two twists."""
+    values = draw(st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3),
+                           min_size=2, max_size=10))
+    rows = [[draw(st.sampled_from(["s{}", " s{} "])).format(i), *(draw(st.sampled_from(_SAME_FORMS))(v) for v in row)]
+            for i, row in enumerate(values)]
+    fillers, end = ["", "# note", "  #x,1,2,3"], "\n"
+    for twist in draw(st.lists(st.sampled_from(_TWISTS), max_size=2)):
+        row = draw(st.sampled_from(rows))
+        if twist == "quoted id":
+            row[0] = draw(st.sampled_from(['"{}"', '"{},x"'])).format(row[0])
+        elif twist == "extra cell":
+            row.append("1")
+        elif twist == "short row":
+            row.pop()
+        elif twist == "whitespace line":
+            fillers.append(draw(st.sampled_from([" \t", "\x0c"])))
+        elif twist == "CRLF":
+            end = "\r\n"
+        else:
+            j = draw(st.integers(1, len(row) - 1))
+            row[j] = twist.format(row[j])
+    lines = ["System,Ref,M1,M2", *(",".join(row) for row in rows)]
+    for filler in draw(st.lists(st.sampled_from(fillers), max_size=3)):
+        lines.insert(draw(st.integers(0, len(lines))), filler)
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+def _outcome(load, stream_or_source):
+    """(result, warning texts, error text) of one reading."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result, error = load(stream_or_source), None
+        except (ValidationError, csv.Error) as exc:
+            result, error = None, f"{type(exc).__name__}: {exc}"
+    return result, [str(w.message) for w in caught], error
+
+
+@settings(max_examples=400, deadline=None)
+@given(_tables(), st.booleans())
+def test_load_table_equals_the_per_cell_reference(text, as_stream):
+    # Whichever path load_table takes, it gives the per-cell reading's ids,
+    # float bits, warnings and error, for inline text and for a byte stream.
+    if as_stream:
+        source, stream = io.BytesIO(text.encode()), io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8-sig")
+    else:
+        source, stream = text, io.StringIO(text)
+    want, want_warnings, want_error = _outcome(_reference_load, stream)
+    table, got_warnings, got_error = _outcome(load_table, source)
+    assert (got_warnings, got_error) == (want_warnings, want_error)
+    if got_error is None:
+        ids, values = want
+        assert table.system_ids == ids
+        got = np.column_stack([table.reference, table.methods["M1"], table.methods["M2"]])
+        assert got.tobytes() == np.array(values).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -253,6 +382,7 @@ def test_bulk_conversion_agrees_with_python_float(cell):
         ("a,1,2\n#b,x,y\nc,2,nan\n", "row 4: non-finite cell 'nan' in column 'M1'"),
         ("a,1,2\nb,inf,3\nc,2,3\n", "row 3: non-finite cell 'inf' in column 'Ref'"),
         ("a,1,2\nb,2\nc,2,3\n", "row 3: expected 3 cells, got 2"),
+        ("a,1,2\nb,2,3,4\nc,2,3\n", "row 3: expected 3 cells, got 4"),
         ("a,1,2\n  # note,x\nb,2,#3\n", "row 4: non-numeric cell '#3' in column 'M1'"),
         ("a,1,2\nb,, 2\nc,2,oops\n", "row 4: non-numeric cell 'oops' in column 'M1'"),
     ],

@@ -122,6 +122,15 @@ def test_stats_and_compare_load_only_inference(tmp_path):
     assert loaded == ["errstat", "errstat.cli", "errstat.dataset", "errstat.estimators", "errstat.inference"]
 
 
+def test_sip_matrix_and_corr_load_no_resampling_code(tmp_path):
+    # Neither command resamples: only `sip --pair` imports inference.
+    argvs = [argv for argv in _every_command(tmp_path)
+             if argv[0] == "corr" or argv[0] == "sip" and "--pair" not in argv]
+    loaded = _modules_after(_run_all(argvs))
+    assert "errstat.sip" in loaded and "errstat.correlation" in loaded
+    assert _within(loaded, "errstat.inference", "numpy.random") == []
+
+
 def test_package_names_resolve_on_first_access():
     # `import errstat` loads no submodule; a public name or a submodule is
     # imported when first used, and `import *` yields every public name.

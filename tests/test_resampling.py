@@ -223,7 +223,7 @@ def test_replicate_stats_memory_is_bounded():
         assert peak < 64 * 2**20, f"{kind.label}: peak {peak / 2**20:.1f} MB"
 
 
-@pytest.mark.parametrize("b", [100, 257, 1000])
+@pytest.mark.parametrize("b", [100, 121, 257, 1000])  # (121 - 1) * 0.025 is an integer
 def test_percentile_band_equals_numpy_percentile(b):
     # The band re-implements numpy's linear percentile on integer counts;
     # it must agree with np.percentile in every bit, ties included.

@@ -15,7 +15,10 @@ B = 1000 and B = 257, on the perfbench tables with N = 6, 37, 100 and 5000
 (perfbench/gen.py of the working tree, K = 10, seed 7), on
 tests/data/golden.csv, on that table times 2**990 (errors up to 2.1e298)
 and on a table of errors near 3e-310, below the smallest normal float.
-It also holds the non-finite flag values that must exit 2.
+Three variants of the N = 100 table cover both of the loader's paths:
+quoted ids, CRLF line ends, and a blank line, a comment line and a row
+with an empty cell, which is dropped with a warning.  It also holds the
+non-finite flag values and the overflowing g-and-h sample that must exit 2.
 
 Every difference in exit code, stdout, stderr or a written file is
 printed, the text ones as a unified diff; the exit status is 1 if
@@ -35,6 +38,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_pairs import checkout_parent, copy_working_tree, git  # noqa: E402
 
 TABLE_SIZES = (6, 37, 100, 5000)
+LOADER_VARIANTS = ("quoted", "crlf", "gaps")  # of the N = 100 table
 SEED = ["--seed", "17"]
 WORKERS = 2  # the two sides of one invocation run side by side
 RUN_TIMEOUT_S = 300
@@ -55,6 +59,12 @@ def write_tables(tree, dest):
     # Errors k * 2**-1036 with k in 150..306, one column of mixed sign: exact, 2e-310 to 4.2e-310.
     rows = [f"s{i},0,{-(150 + 4 * i) * 2.0**-1036!r},{(160 + 3 * i) * (-1) ** i * 2.0**-1036!r}" for i in range(40)]
     (dest / "subnormal.csv").write_text("\n".join(["System,Ref,M01,M02", *rows]) + "\n")
+    lines = (dest / "n100.csv").read_text().splitlines()
+    quoted = [lines[0], *(f'"{line.split(",", 1)[0]}",{line.split(",", 1)[1]}' for line in lines[1:])]
+    (dest / "quoted.csv").write_text("\n".join(quoted) + "\n")
+    (dest / "crlf.csv").write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    gaps = [lines[0], "", "# a comment line", *lines[1:5], lines[5].rsplit(",", 1)[0] + ",", *lines[6:]]
+    (dest / "gaps.csv").write_text("\n".join(gaps) + "\n")
     return {p.stem: p for p in sorted(dest.glob("*.csv"))}
 
 
@@ -66,7 +76,7 @@ def invocations(tables):
         out.append((name, [*argv, *(a for ext in files for a in (f"--{ext}", f"out.{ext}"))]))
 
     for t, path in tables.items():
-        if t in ("subnormal", "scaled"):
+        if t in ("subnormal", "scaled", *LOADER_VARIANTS):
             continue
         table = str(path)
         nprime = "4" if t == "n6" else "20"
@@ -91,6 +101,12 @@ def invocations(tables):
             files=("json", "csv"))
         add(f"{t}/rank/mse-nprime", "rank", table, "--stat", "mse", "--nprime", nprime, *SEED, files=("json",))
         add(f"{t}/compare/unknown-method", "compare", table, "--pair", "M01,NOPE")
+    for t in LOADER_VARIANTS:
+        table = str(tables[t])
+        add(f"{t}/stats/mue", "stats", table, "--stat", "mue", *SEED, files=("json", "csv"))
+        add(f"{t}/rank/q95", "rank", table, "--stat", "q95", *SEED, files=("json", "csv", "svg"))
+        add(f"{t}/sip-pair", "sip", table, "--pair", "M01,M03", *SEED, files=("json", "csv", "ecdf"))
+        add(f"{t}/corr", "corr", table, files=("json", "csv", "svg"))
     sim = ["--reps", "100", "--boot", "100", *SEED]
     add("simulate/gh", "simulate", "gh", "--g", "0.2", "--h", "0.1", "--n", "50", *SEED, files=("json", "csv"))
     add("simulate/type1-mue", "simulate", "type1", "--stat", "mue", "--n", "20", "--rho", "0.5", *sim,
@@ -104,6 +120,7 @@ def invocations(tables):
     for shape in (["--h", "nan"], ["--sigma", "nan"], ["--mu", "inf"], ["--sigma", "inf"]):
         add(f"simulate/gh/{shape[0][2:]}-{shape[1]}", "simulate", "gh", *shape, "--n", "50", *SEED,
             files=("json", "csv"))
+    add("simulate/gh/sigma-1e308", "simulate", "gh", "--sigma", "1e308", "--n", "50", *SEED, files=("json", "csv"))
     golden = str(tables["golden"])
     add("golden/compare/kappa-nan", "compare", golden, "--pair", "M01,M02", "--kappa", "nan", *SEED)
     add("golden/sip-pair/ubar-nan", "sip", golden, "--pair", "M01,M03", "--ubar", "nan", *SEED,
