@@ -128,8 +128,10 @@ class ErrorMatrix:
 def _parse_header(fields):
     """The header's column names and roles: (names, method columns, {method: its "u:" column})."""
     names = [f.strip() for f in fields]
-    if not names or names[0] != "System":
+    if names[0] != "System":
         raise ValidationError("malformed header: first column must be 'System'")
+    if "" in names:
+        raise ValidationError(f"malformed header: empty column name at position {names.index('') + 1}")
     if "Ref" not in names:
         raise ValidationError("malformed header: missing 'Ref' column")
     if len(set(names)) != len(names):
@@ -182,14 +184,13 @@ def _load_csv(fh):
     if len(kept_ids) < 2:
         raise ValidationError(f"need at least 2 systems, got {len(kept_ids)}")
     data = dict(zip(header[1:], body_values.T))
-    table = BenchmarkTable(
+    return BenchmarkTable(
         system_ids=kept_ids,
         reference=data["Ref"],
         ref_uncertainty=data.get("uRef"),
         methods={m: data[m] for m in methods},
         calc_uncertainty={m: data[n] for m, n in calc_u.items()},
     )
-    return table
 
 
 def _bulk_rows(lines):
@@ -221,11 +222,11 @@ def _bulk_rows(lines):
 
 def _per_cell_rows(lines):
     """(parsed header, ids, values) read by csv.reader: drops incomplete rows and names the offending row and column."""
-    rows = [
-        (lineno, row)
-        for lineno, row in enumerate(csv.reader(lines), start=1)
-        if row and not row[0].lstrip().startswith("#")
-    ]
+    reader = csv.reader(lines)
+    try:
+        rows = [(i, row) for i, row in enumerate(reader, start=1) if row and not row[0].lstrip().startswith("#")]
+    except csv.Error as exc:  # such as a lone CR inside a line of inline text
+        raise ValidationError(f"row {reader.line_num}: {exc}") from None
     if not rows:
         raise ValidationError("empty input")
     head = _parse_header(rows[0][1])

@@ -9,9 +9,9 @@ RMSD here is the sample standard deviation of the errors about their own
 mean (denominator N-1), not the root mean squared error about zero.
 
 `_Resampled` is the bootstrap's one kernel: the table commands (through
-`inference.replicate_stats`) and the type-I study bind it to their
-columns, and it fills scratch arrays it keeps from one index block to
-the next.  Any other matrix of samples goes through `evaluate_rows`.
+`inference.replicate_stats`) and the type-I study bind it, and it keeps
+its scratch arrays across index blocks.  Other samples go through
+`evaluate_rows`.  Both select order statistics by `_order_stats`.
 """
 
 from dataclasses import dataclass
@@ -35,7 +35,7 @@ __all__ = [
 
 _KINDS = ("mse", "mue", "rmsd", "q")
 _QUANTILE_METHODS = ("hd", "type7")
-_COUNT_CELLS = 1 << 14  # flat indices (128 KB) the mean path keeps: larger blocks count a few rows at a time
+_COUNT_CELLS = 1 << 14  # flat indices (128 KB) a count goes through: larger blocks count a few rows at a time
 
 
 @dataclass(frozen=True)
@@ -121,8 +121,7 @@ def evaluate_rows(kind, matrix):
         return np.abs(m).mean(axis=1)
     if kind.kind == "rmsd":
         return sample_sd(m)
-    xs = np.sort(np.abs(m), axis=1)
-    return _quantile(kind.quantile_method, kind.q, m.shape[1], lambda lo, hi: xs[:, lo:hi])
+    return _quantile(kind.quantile_method, kind.q, m.shape[1], partial(_order_stats, np.abs(m)))
 
 
 def sample_sd(x):
@@ -142,9 +141,9 @@ def _quantile(method, q, m, window):
     """Quantile estimate of samples of m values from their order statistics.
 
     `window(lo, hi)` returns order statistics lo..hi-1 of every sample,
-    sorted, one row per sample.  Harrell-Davis weights the window its
-    weights cover; type 7 interpolates between order statistics j and
-    j + 1 at h = (m-1)q.
+    sorted, one row per sample; it is called once.  Harrell-Davis weights
+    the window its weights cover; type 7 interpolates between order
+    statistics j and j + 1 at h = (m-1)q.
     """
     if method == "hd":
         lo, w = _hd_weights(m, q)
@@ -153,6 +152,24 @@ def _quantile(method, q, m, window):
     j = min(int(np.floor(h)), m - 2)
     x = window(j, j + 2)
     return x[:, 0] + (h - j) * (x[:, 1] - x[:, 0])
+
+
+def _order_stats(a, lo, hi):
+    """Order statistics lo..hi-1 of each row of the 2-d array a, sorted: a view of a, which is reordered.
+
+    Two single-kth partitions (one call with two kths is far slower) cut each row to the window,
+    and only the window is sorted; a cut that would drop fewer values than the window holds is skipped.
+    """
+    w, n = hi - lo, a.shape[1]
+    cut = lo if lo >= w else 0
+    if cut:
+        a.partition(cut, axis=1)
+        a = a[:, cut:]
+    if n - hi >= w:
+        a.partition(hi - cut - 1, axis=1)
+        a = a[:, : hi - cut]
+    a.sort(axis=1)
+    return a[:, lo - cut : hi - cut]
 
 
 def weighted_sums(a, b):
@@ -174,13 +191,14 @@ def resample_counts(idx, n):
     In this resampling-vector view of the bootstrap (Efron and Tibshirani
     1993) a resample's sum of any per-row value is a count-weighted sum.
     """
-    return _count(idx, np.empty((len(idx), n)), np.empty(idx.shape, np.intp))
+    return _count(idx, np.empty((len(idx), n)))
 
 
-def _count(idx, counts, flat):
-    """Fill counts (b, n) with `resample_counts(idx, n)`, through flat, an intp scratch of len(flat) rows of idx."""
+def _count(idx, counts, empty=np.empty):
+    """Fill counts (b, n) with `resample_counts(idx, n)` through flat indices: `empty` gives their scratch."""
     counts.fill(0.0)
-    n, step = counts.shape[1], max(len(flat), 1)
+    n, step = counts.shape[1], max(1, _COUNT_CELLS // max(idx.shape[1], 1))
+    flat = empty((min(len(idx), step), idx.shape[1]), np.intp)
     for lo in range(0, len(idx), step):
         part = idx[lo : lo + step]
         cells = np.add(part, n * np.arange(lo, lo + len(part))[:, None], out=flat[: len(part)])
@@ -193,10 +211,9 @@ class _Resampled:
 
     `bind(columns)` takes (n, K) columns; a call on a (b, n') block of
     indices in [0, n) (unchecked: gathers clip) returns the (b, K) results.
-    Means are count contractions, RMSD gathers, and quantiles select from
-    column ranks (ties distinct) the order statistics they weight.  Scratch
-    arrays only grow (the counts' flat indices to _COUNT_CELLS): blocks of
-    one size allocate none of them again.
+    Means are count contractions, RMSD gathers, and quantiles select column
+    ranks (ties distinct) by `_order_stats`.  Scratch arrays only grow, so
+    blocks of one size allocate none of them again.
     """
 
     def __init__(self, kind):
@@ -217,16 +234,15 @@ class _Resampled:
             return self
         a = np.abs(cols).T
         order = np.argsort(a, axis=1, kind="stable")
-        ranks = np.empty(a.shape, dtype=np.int16 if self.n <= 2**15 else np.int32)
-        np.put_along_axis(ranks, order, np.arange(self.n, dtype=ranks.dtype)[None, :], axis=1)
+        ranks = order.argsort(axis=1).astype(np.int16 if self.n <= 2**15 else np.int32)  # the inverse permutations
         self.tables = list(zip(ranks, np.take_along_axis(a, order, axis=1)))
         return self
 
     def __call__(self, idx):
         b, m = idx.shape
         if self.kind.kind in ("mse", "mue"):
-            flat = self._buffer("flat", (min(b, max(1, _COUNT_CELLS // m)), m), np.intp)
-            return weighted_sums(_count(idx, self._buffer("counts", (b, self.n), float), flat), self.tables) / m
+            counts = _count(idx, self._buffer("counts", (b, self.n), float), partial(self._buffer, "flat"))
+            return weighted_sums(counts, self.tables) / m
         out = np.empty((b, len(self.tables)))
         for col, table in enumerate(self.tables):
             if self.kind.kind == "rmsd":
@@ -235,28 +251,12 @@ class _Resampled:
             else:
                 rank, xs = table
                 r = np.take(rank, idx, out=self._buffer("ranks", (b, m), rank.dtype), mode="clip")
-                out[:, col] = _quantile(self.kind.quantile_method, self.kind.q, m, partial(self._window, r, xs))
+                def window(lo, hi):  # xs at the window's ranks, through intp scratch: np.take would allocate it
+                    pos = self._buffer("window", (b, hi - lo), np.intp)
+                    pos[...] = _order_stats(r, lo, hi)
+                    return np.take(xs, pos, out=self._buffer("values", pos.shape, float), mode="clip")
+                out[:, col] = _quantile(self.kind.quantile_method, self.kind.q, m, window)
         return out
-
-    def _window(self, r, xs, lo, hi):
-        """Values xs[r] of order statistics lo..hi-1 of each row of ranks r, sorted; r is reordered.
-
-        Two single-kth partitions cut each row to the window (one call with
-        two kths is far slower), and only the window is sorted.  A cut that
-        would drop fewer order statistics than the window holds is skipped.
-        """
-        w, n = hi - lo, r.shape[1]
-        cut = lo if lo >= w else 0
-        if cut:
-            r.partition(cut, axis=1)
-            r = r[:, cut:]
-        if n - hi >= w:
-            r.partition(hi - cut - 1, axis=1)
-            r = r[:, : hi - cut]
-        r.sort(axis=1)
-        pos = self._buffer("window", (r.shape[0], w), np.intp)
-        pos[...] = r[:, lo - cut : hi - cut]
-        return np.take(xs, pos, out=self._buffer("values", pos.shape, float), mode="clip")
 
 
 # 16-point Gauss-Legendre rule on [-1, 1], bit for bit leggauss(16) of
@@ -324,26 +324,24 @@ def _end_series(a, b, h):
 
 def quantile_hd(x, q):
     """Harrell-Davis quantile estimate: a beta-weighted sum of all order statistics."""
-    x = np.asarray(x, dtype=float)
+    x = np.array(x, dtype=float).reshape(1, -1)  # a copy, for _order_stats to reorder
     if x.size < 2:
         raise ValueError("need at least 2 samples")
     if not 0.0 < q < 1.0:
         raise ValueError(f"quantile level must be in (0, 1), got {q}")
-    xs = np.sort(x)
-    return float(_quantile("hd", q, x.size, lambda lo, hi: xs[None, lo:hi])[0])
+    return float(_quantile("hd", q, x.size, partial(_order_stats, x))[0])
 
 
 def quantile_type7(x, q):
     """Linear-interpolation quantile (Hyndman-Fan type 7): h = (n-1)q + 1."""
-    x = np.asarray(x, dtype=float)
+    x = np.array(x, dtype=float).reshape(1, -1)  # a copy, for _order_stats to reorder
     if x.size < 2:
         raise ValueError("need at least 2 samples")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"quantile level must be in [0, 1], got {q}")
-    xs = np.sort(x)
     if q == 1.0:  # the interpolation x0 + 1 * (x1 - x0) need not give x1 exactly
-        return float(xs[-1])
-    return float(_quantile("type7", q, x.size, lambda lo, hi: xs[None, lo:hi])[0])
+        return float(_order_stats(x, x.size - 1, x.size)[0, 0])
+    return float(_quantile("type7", q, x.size, partial(_order_stats, x))[0])
 
 
 def percentile(x, levels):
@@ -353,7 +351,7 @@ def percentile(x, levels):
     numpy's default linear rule: order statistics j and j + 1 around the
     virtual index v = (n - 1) p / 100, interpolated by `lerp`.  The
     partition takes numpy's own kth set, as the cuts decide which of two
-    tied values, such as -0.0 and 0.0, lands at j.
+    tied values, such as -0.0 and 0.0, lands at j: `_order_stats` would not.
     """
     xs = np.array(x, dtype=float)
     v = (xs.size - 1) * (np.asarray(levels, dtype=float) / 100)
@@ -365,7 +363,7 @@ def percentile(x, levels):
 
 
 def median(x):
-    """np.median(x) bit for bit, for a 1-d x without NaN: the mean of the middle order statistics."""
+    """np.median(x) bit for bit, for a 1-d x without NaN, at numpy's kths (see `percentile`)."""
     n = len(x)
     mid = [(n - 1) // 2] if n % 2 else [n // 2 - 1, n // 2]
     return float(np.mean(np.partition(x, mid + [-1])[mid]))

@@ -72,6 +72,13 @@ def test_non_finite_cell_exits_2_naming_row_and_column(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_empty_header_cell_exits_2_with_one_error_line(tmp_path, capsys):
+    path = tmp_path / "blank.csv"
+    path.write_text(CSV.replace("System,Ref,M1,M2,M3", "System,Ref,M1,,M3"))
+    assert run(["stats", str(path), "--boot", "100"]) == 2
+    assert capsys.readouterr().err == "error: malformed header: empty column name at position 4\n"
+
+
 def test_row_with_an_extra_cell_exits_2_naming_the_row(tmp_path, capsys):
     # np.loadtxt ignores cells past the columns it reads, so such a table is read cell by cell.
     path = tmp_path / "extra.csv"

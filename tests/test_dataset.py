@@ -92,6 +92,21 @@ def test_header_validation():
         load_table("System,Ref,M1,u:M2\na,1,2,0\nb,2,3,0\n")
 
 
+def test_empty_header_cell_is_rejected_naming_its_position():
+    # An empty name would make a method called '' that every command reports.
+    for header, position in (("System,Ref,,M2", 3), ("System,Ref,M1,", 4), ("System, ,Ref,M1", 2)):
+        with pytest.raises(ValidationError) as info:
+            load_table(f"{header}\na,1,2,3\nb,2,3,4\n")
+        assert str(info.value) == f"malformed header: empty column name at position {position}"
+
+
+def test_lone_cr_inside_a_line_of_inline_text_is_a_validation_error():
+    # csv.reader raises its own csv.Error here; load_table names the row instead.
+    with pytest.raises(ValidationError) as info:
+        load_table("System,Ref,M1\na,1\r,2\nb,2,3\n")
+    assert str(info.value).startswith("row 2: new-line character seen in unquoted field")
+
+
 def test_too_few_rows():
     with pytest.raises(ValidationError, match="at least 2"):
         load_table("System,Ref,M1\na,1.0,0.9\n")
@@ -282,8 +297,11 @@ def test_cells_float_reads_and_numpy_rejects_keep_their_values():
 
 def _reference_load(stream):
     """(ids, values) of a System,Ref,M1,M2 table read cell by cell; warns and raises as load_table does."""
-    rows = [(n, row) for n, row in enumerate(csv.reader(stream), start=1)
-            if row and not row[0].lstrip().startswith("#")]
+    reader = csv.reader(stream)
+    try:
+        rows = [(n, row) for n, row in enumerate(reader, start=1) if row and not row[0].lstrip().startswith("#")]
+    except csv.Error as exc:  # a lone CR inside a line of inline text
+        raise ValidationError(f"row {reader.line_num}: {exc}") from None
     names = [c.strip() for c in rows[0][1]]
     if names[0] != "System":  # a whitespace line before the header
         raise ValidationError("malformed header: first column must be 'System'")

@@ -1,18 +1,22 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from math import exp, lgamma
 from scipy import integrate
 
 from errstat.estimators import (
     StatKind,
     _Resampled,
+    _hd_weights,
+    _order_stats,
     evaluate,
     evaluate_rows,
     median,
     percentile,
     quantile_hd,
     quantile_type7,
+    weighted_sums,
 )
 from errstat.simulation import _SUMMARY_QS
 
@@ -94,6 +98,65 @@ def test_resampled_quantiles_equal_gathered_rows(kind):
         got = np.concatenate([resampled(idx), resampled(idx[:1])])
         want = [[evaluate(kind, cols[row, k]) for k in range(2)] for row in np.vstack([idx, idx[:1]])]
         assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------- order statistics
+
+@st.composite
+def _rows_and_windows(draw):
+    """An int16, int32 or float64 (rows, n) array drawn from a few values (ties), and a window lo < hi <= n."""
+    dtype = draw(st.sampled_from([np.int16, np.int32, np.float64]))
+    if dtype == np.float64:  # + 0.0 turns -0.0 into 0.0, whose order against 0.0 no sort defines
+        values = st.floats(-1e300, 1e300, allow_nan=False).map(lambda v: v + 0.0)
+    else:
+        values = st.integers(int(np.iinfo(dtype).min), int(np.iinfo(dtype).max))
+    pool = draw(st.lists(values, min_size=1, max_size=8))
+    n = draw(st.integers(1, 70))
+    a = draw(arrays(dtype, (draw(st.integers(1, 5)), n), elements=st.sampled_from(pool)))
+    lo = draw(st.integers(0, n - 1))
+    return a, lo, draw(st.integers(lo + 1, n))
+
+
+def _ties(dtype, shape):
+    return (np.arange(np.prod(shape)).reshape(shape) * 7 % 5).astype(dtype)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rows_and_windows())
+@example((_ties(np.int16, (3, 9)), 0, 9))  # the whole row: no cut
+@example((_ties(np.int32, (2, 20)), 0, 1))  # lo = 0, w = 1: the upper cut only
+@example((_ties(np.float64, (2, 20)), 19, 20))  # hi = n, w = 1: the lower cut only
+@example((_ties(np.int16, (4, 30)), 12, 13))  # w = 1: both cuts
+@example((_ties(np.float64, (4, 30)), 12, 20))  # lo >= w and n - hi >= w: both cuts
+@example((_ties(np.int32, (4, 30)), 5, 20))  # lo < w and n - hi < w: no cut
+def test_order_stats_equal_the_window_of_the_sorted_rows(case):
+    a, lo, hi = case
+    want = np.sort(a, axis=1)[:, lo:hi]
+    b = a.copy()
+    got = _order_stats(b, lo, hi)
+    assert got.dtype == a.dtype and got.tobytes() == want.tobytes()
+    assert np.array_equal(np.sort(b, axis=1), np.sort(a, axis=1))  # reordered, not changed
+
+
+def _sorted_rows_quantile(kind, m):
+    """Each row's quantile from its whole sorted row: the rule before windows."""
+    xs, n = np.sort(np.abs(m), axis=1), m.shape[1]
+    if kind.quantile_method == "hd":
+        lo, w = _hd_weights(n, kind.q)
+        return weighted_sums(xs[:, lo : lo + w.size], w[None, :])[:, 0]
+    h = (n - 1) * kind.q
+    j = min(int(np.floor(h)), n - 2)
+    return xs[:, j] + (h - j) * (xs[:, j + 1] - xs[:, j])
+
+
+@pytest.mark.parametrize("kind", [StatKind.quantile(0.95, "hd"), StatKind.quantile(0.05, "hd"),
+                                  StatKind.quantile(0.5, "hd"), StatKind.quantile(0.95, "type7"),
+                                  StatKind.quantile(0.01, "type7"), StatKind.quantile(0.999, "type7")])
+def test_evaluate_rows_quantiles_equal_the_whole_row_sort(kind):
+    rng = np.random.default_rng(21)
+    for reps, n in ((1, 2), (3, 3), (40, 17), (500, 60), (7, 499), (500, 500)):
+        m = np.round(rng.standard_normal((reps, n)), 1)  # many exact ties, signed zeros included
+        assert evaluate_rows(kind, m).tobytes() == _sorted_rows_quantile(kind, m).tobytes()
 
 
 # ---------------------------------------------------------------- quantiles

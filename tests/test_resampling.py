@@ -302,9 +302,9 @@ def test_reused_evaluator_equals_a_fresh_one():
 
 
 def test_counts_of_blocks_wider_than_the_flat_scratch():
-    # The evaluator counts a block through _COUNT_CELLS flat indices, a few
-    # rows at a time; resample_counts counts it at once.  Both equal a
-    # per-row bincount, and so do the means made from them.
+    # The evaluator and resample_counts count a block through _COUNT_CELLS
+    # flat indices, a few rows at a time.  Both equal a per-row bincount,
+    # and so do the means made from them.
     rng = np.random.default_rng(12)
     for n, n_prime, b in ((500, 500, 80), (300, 40000, 3), (50, 50, 0)):
         idx = rng.integers(0, n, size=(b, n_prime))
@@ -313,6 +313,20 @@ def test_counts_of_blocks_wider_than_the_flat_scratch():
         cols = _tied_columns(rng, n, 2)
         got = _Resampled(StatKind.mse()).bind(cols)(idx)
         assert np.array_equal(got, weighted_sums(want, np.ascontiguousarray(cols.T)) / n_prime)
+
+
+def test_counts_below_at_and_above_the_flat_scratch_bound(monkeypatch):
+    # With the bound at 64 cells, blocks of b * n' below, at and above it,
+    # n' < n and rows wider than the bound all count as a bincount does.
+    monkeypatch.setattr("errstat.estimators._COUNT_CELLS", 64)
+    rng = np.random.default_rng(13)
+    for n, n_prime, b in ((20, 20, 3), (16, 16, 4), (20, 20, 10), (50, 20, 7), (50, 8, 8), (30, 100, 5), (9, 9, 0)):
+        idx = rng.integers(0, n, size=(b, n_prime))
+        want = np.array([np.bincount(row, minlength=n) for row in idx], dtype=float).reshape(b, n)
+        assert np.array_equal(resample_counts(idx, n), want)
+        cols = _tied_columns(rng, n, 2)
+        got = _Resampled(StatKind.mue()).bind(cols)(idx)
+        assert np.array_equal(got, weighted_sums(want, np.ascontiguousarray(np.abs(cols).T)) / n_prime)
 
 
 def _type1_minor_faults(stat, reps):

@@ -110,8 +110,8 @@ def summarise(pairs, directions):
 def machine():
     numpy = subprocess.run([sys.executable, "-c", "import numpy; print(numpy.__version__)"],
                            capture_output=True, text=True).stdout.strip()
-    return {"cores": os.cpu_count(), "machine": platform.machine(), "python": platform.python_version(),
-            "numpy": numpy}
+    return {"cores": os.cpu_count(), "affinity": len(os.sched_getaffinity(0)), "machine": platform.machine(),
+            "python": platform.python_version(), "numpy": numpy}
 
 
 def main(argv=None):
