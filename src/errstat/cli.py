@@ -11,8 +11,13 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import sys
 import warnings
+
+# No sum goes through BLAS (see estimators.weighted_sums): one OpenBLAS thread spares each launch an idle pool.
+if "numpy" not in sys.modules and not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & set(os.environ):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 

@@ -74,7 +74,7 @@ def correlation_matrix(data, method="spearman", labels=None):
 
     `data` is either an ErrorMatrix (its error columns are used) or an
     N x K array.  Any constant column makes the correlation undefined and
-    raises, rather than silently contributing zeros to the display.
+    raises naming it, rather than silently contributing zeros to the display.
     """
     if hasattr(data, "errors"):
         values = data.errors
@@ -87,6 +87,9 @@ def correlation_matrix(data, method="spearman", labels=None):
     if method not in ("pearson", "spearman"):
         raise ValueError(f"unknown correlation method {method!r}")
     k = values.shape[1]
+    for label, c in zip(labels, values.T):
+        if (c[1:] == c[:-1]).all():
+            raise ValueError(f"undefined correlation: column {label!r} is constant")
     cols = [midranks(c) for c in values.T] if method == "spearman" else list(values.T)
     out = np.eye(k)
     for i in range(k):

@@ -342,6 +342,16 @@ def test_corr_pearson_of_overflowing_values_exits_2(tmp_path, capsys):
     assert "undefined correlation" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", [[], ["--pearson"]])
+@pytest.mark.parametrize("on, column", [("errors", "M1"), ("values", "M2")])
+def test_corr_of_a_constant_column_exits_2_naming_it(tmp_path, capsys, method, on, column):
+    # M1 = Ref + 1 has constant errors; M2 is a constant prediction.
+    table = tmp_path / "constant.csv"
+    table.write_text("System,Ref,M1,M2,M3\n" + "".join(f"s{i},{i},{i + 1},5,{i * i}\n" for i in range(8)))
+    assert run(["corr", str(table), "--on", on, *method]) == 2
+    assert capsys.readouterr().err == f"error: undefined correlation: column '{column}' is constant\n"
+
+
 def _subnormal_table(path):
     """40 rows of errors near 3e-310, below the smallest normal float, and the (40, 2) error array."""
     rng = np.random.default_rng(61)

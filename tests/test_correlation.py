@@ -1,3 +1,6 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -102,6 +105,17 @@ def test_spearman_invariant_under_monotone_maps(xs):
     assert spearman(x, y**3 + 5 * y) == pytest.approx(base, abs=1e-9)
 
 
+def exact_pearson(x, y):
+    """Pearson's r of the float inputs, evaluated in 300-bit arithmetic, rounded once."""
+    with mpmath.workprec(300):
+        xs, ys = [list(map(mpmath.mpf, map(float, v))) for v in (x, y)]
+        mx, my = mpmath.fsum(xs) / len(xs), mpmath.fsum(ys) / len(ys)
+        sxy = mpmath.fsum((a - mx) * (b - my) for a, b in zip(xs, ys))
+        sxx = mpmath.fsum((a - mx) ** 2 for a in xs)
+        syy = mpmath.fsum((b - my) ** 2 for b in ys)
+        return float(sxy / mpmath.sqrt(sxx * syy))
+
+
 @settings(max_examples=40)
 @given(
     st.lists(st.floats(min_value=-50, max_value=50), min_size=3, max_size=25, unique=True),
@@ -111,6 +125,9 @@ def test_spearman_invariant_under_monotone_maps(xs):
 # A single centring pass moved r by about 1e-10 under these exact shifts.
 @example(xs=[0.0, 2**-24, 3.4e-288], a=1.0, b=1.0)
 @example(xs=[0.0, 1.015371175868401e-07, 4.0986733654410293e-252], a=1.0, b=1.0)
+# a*x + b rounds x's small spread, and moved the exact r of the data by 1.5e-12.
+@example(xs=[0.0, 6.103515625e-05, 1.192092896e-07], a=0.01, b=8.0)
+@example(xs=[0.0, 6.103515625e-05, 1.192092896e-07], a=0.0078125, b=0.0)
 def test_pearson_affine_invariance(xs, a, b):
     x = np.asarray(xs)
     y = np.cos(x)
@@ -118,7 +135,17 @@ def test_pearson_affine_invariance(xs, a, b):
         base = pearson(x, y)
     except ValueError:
         return
-    assert pearson(a * x + b, y) == pytest.approx(base, abs=1e-12)
+    ax = a * x + b
+    if b == 0.0 and math.frexp(a)[0] == 0.5 and np.array_equal(ax / a, x):
+        # Scaling by a power of two that loses no bit is exact, and so is r.
+        assert pearson(ax, y) == base
+    else:
+        # a*x + b rounds, so the data need not be an affine image of x: r is
+        # held to the exact r of the values passed.  Each of the two centring
+        # passes, the three sums of n terms and the final sqrt and division
+        # add at most n rounding errors of size eps to r, which lies in [-1, 1].
+        tol = 8 * len(xs) * np.finfo(float).eps
+        assert pearson(ax, y) == pytest.approx(exact_pearson(ax, y), abs=tol)
 
 
 def test_matrix_trivial_cases():

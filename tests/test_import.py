@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import errstat
 from errstat.simulation import SCENARIOS
@@ -168,3 +169,70 @@ def test_no_errstat_module_uses_numpy_ma_or_polynomial():
             found += [f"{path.name}:{node.lineno} {n}" for n in names
                       if _within([n], *banned_modules, *(f"numpy.{c}" for c in banned_calls))]
     assert not found, found
+
+
+def test_no_errstat_module_calls_blas():
+    # Static guard: every sum goes through estimators.weighted_sums (einsum
+    # without `optimize`), never BLAS, so results do not depend on the BLAS
+    # thread count and the CLI may start numpy with one OpenBLAS thread.
+    banned = {"@", "dot", "vdot", "inner", "matmul", "tensordot", "cov", "corrcoef", "linalg",
+              "einsum optimize="}
+    package = pathlib.Path(errstat.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                names = ["@"]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Import):
+                names = [part for alias in node.names for part in alias.name.split(".")]
+            elif isinstance(node, ast.ImportFrom):
+                names = (node.module or "").split(".") + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Call):
+                func = getattr(node.func, "attr", getattr(node.func, "id", ""))
+                names = [f"{func} {k.arg}=" for k in node.keywords]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {n}" for n in names if n in banned]
+    assert not found, found
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _blas_state_after(statement, **preset):
+    """The BLAS thread variables and the thread count of a fresh interpreter after `statement`.
+
+    The interpreter starts with none of BLAS_THREAD_VARS set but `preset`:
+    this process may itself have set one by importing errstat.cli.
+    """
+    code = (f"import os, sys; {statement}; "
+            "threads = [l.split()[1] for l in open('/proc/self/status') if l.startswith('Threads:')] "
+            "if sys.platform == 'linux' else []; "
+            f"print(repr(({{v: os.environ[v] for v in {BLAS_THREAD_VARS!r} if v in os.environ}}, threads)))")
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(preset, PYTHONPATH=os.path.dirname(os.path.dirname(errstat.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    return ast.literal_eval(proc.stdout.strip().splitlines()[-1])
+
+
+def test_cli_starts_numpy_with_one_openblas_thread():
+    variables, threads = _blas_state_after("import errstat.cli")
+    assert variables == {"OPENBLAS_NUM_THREADS": "1"}
+    assert threads == _blas_state_after("import numpy", OPENBLAS_NUM_THREADS="1")[1]
+
+
+@pytest.mark.parametrize("preset", [{"OMP_NUM_THREADS": "2"}, {"OPENBLAS_NUM_THREADS": "2"},
+                                    {"GOTO_NUM_THREADS": "2"}])
+def test_cli_keeps_a_blas_thread_count_the_user_set(preset):
+    assert _blas_state_after("import errstat.cli", **preset)[0] == preset
+
+
+@pytest.mark.parametrize("statement", ["import numpy, errstat.cli", "import errstat, errstat.inference"])
+def test_blas_threads_are_left_alone_unless_the_cli_imports_numpy(statement):
+    # Once numpy is loaded the variable would only reach child processes;
+    # and a program that imports the library keeps its BLAS threads.
+    assert _blas_state_after(statement)[0] == {}

@@ -19,9 +19,10 @@ For each workload and metric the record gives each side's median,
 inclusive quartiles, interquartile range and best run, how many pairs the
 change wins (ties count for neither), the gap between the medians in the
 better direction that BENCHMARK.json declares, and whether that gap
-exceeds the parent's interquartile range.  If --out exists, only its
-"trace<N>" entry is replaced, so --trace 0 and --trace 1 runs can fill one
-record.  Only the standard library is used.
+exceeds the parent's interquartile range.  Its "machine" block names the
+BLAS thread variables both sides inherited, or "default".  If --out exists,
+only its "trace<N>" entry is replaced, so --trace 0 and --trace 1 runs can
+fill one record.  Only the standard library is used.
 """
 
 import argparse
@@ -110,8 +111,11 @@ def summarise(pairs, directions):
 def machine():
     numpy = subprocess.run([sys.executable, "-c", "import numpy; print(numpy.__version__)"],
                            capture_output=True, text=True).stdout.strip()
+    # A thread count set here reaches both sides, and would hide a change to errstat's own BLAS cap.
+    names = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    blas = {v: os.environ[v] for v in names if v in os.environ}
     return {"cores": os.cpu_count(), "affinity": len(os.sched_getaffinity(0)), "machine": platform.machine(),
-            "python": platform.python_version(), "numpy": numpy}
+            "python": platform.python_version(), "numpy": numpy, "blas_threads": blas or "default"}
 
 
 def main(argv=None):
