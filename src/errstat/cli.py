@@ -2,8 +2,8 @@
 
 Subcommands: stats, compare, sip, corr, rank, simulate.  Reports go to
 stdout as plain tables; --json/--csv/--svg write machine-readable and
-graphical outputs.  Exit codes: 0 success, 2 input/validation error,
-1 internal error.  All randomness is controlled by --seed.
+graphical outputs.  Exit codes: 0 success, 2 input/validation error or a
+request too large for memory, 1 internal error.  --seed sets all randomness.
 """
 
 import argparse
@@ -406,7 +406,7 @@ def run(argv):
             if args.json:
                 _write_json(args.json, command, report)
             return 0
-        except (ValidationError, ValueError, OSError) as exc:
+        except (ValidationError, ValueError, OSError, MemoryError) as exc:  # too large for memory: bad input
             print(f"error: {exc}", file=sys.stderr)
             return 2
         except Exception as exc:  # pragma: no cover - internal failures

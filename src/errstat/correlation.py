@@ -5,7 +5,6 @@ benchmark sets routinely contain a few outliers, to which the plain
 Pearson coefficient is notoriously sensitive.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,33 +14,37 @@ from .estimators import weighted_sums
 __all__ = ["CorrMatrix", "pearson", "spearman", "midranks", "correlation_matrix"]
 
 
-def pearson(x, y):
-    """Product-moment correlation of two equal-length vectors (N >= 3).
+def _pearson_matrix(cols):
+    """Pearson's r of every pair of the 1-d `cols` (N >= 3), and each column's scaled sum of squares.
 
-    Each vector is centred twice, the second pass taking out the mean
-    that the first pass's rounding leaves, and then scaled by the exact
-    power of two that brings its largest magnitude into [1/2, 1), so no
-    sum overflows or underflows at extreme magnitudes and results in range
-    are those of the unscaled sums.  The sums go through `weighted_sums`,
-    never BLAS, so the result does not depend on the BLAS thread count.
-    An undefined correlation raises ValueError.
+    Each column is centred by its own 1-d mean (numpy sums across the rows
+    of a transposed table in plain order, not pairwise), then by the mean
+    that this pass's rounding leaves, and scaled by the exact power of two
+    that brings its largest magnitude into [1/2, 1), so no sum overflows or
+    underflows.  One `weighted_sums` (never BLAS) gives every sum.  A zero
+    or non-finite sum of squares makes its row and column NaN.
     """
-    xv = np.asarray(x, dtype=float)
-    yv = np.asarray(y, dtype=float)
-    if xv.shape != yv.shape or xv.ndim != 1:
-        raise ValueError("inputs must be 1-d and the same length")
-    if xv.size < 3:
+    if cols[0].size < 3:
         raise ValueError("need at least 3 points")
-    d = np.stack([xv - xv.mean(), yv - yv.mean()])
+    d = np.stack([c - c.mean() for c in cols])
     d -= d.mean(axis=1, keepdims=True)
     d = np.ldexp(d, -np.frexp(np.abs(d).max(axis=1, keepdims=True))[1])
-    (sx, sxy), (_, sy) = weighted_sums(d, d)
-    if sx == 0.0 or sy == 0.0:
+    s = weighted_sums(d, d)
+    with np.errstate(invalid="ignore"):
+        return np.clip(s / np.sqrt(np.multiply.outer(s.diagonal(), s.diagonal())), -1.0, 1.0), s.diagonal()
+
+
+def pearson(x, y):
+    """Product-moment r of two equal-length vectors (N >= 3) by `_pearson_matrix`; an undefined r raises ValueError."""
+    xv, yv = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if xv.shape != yv.shape or xv.ndim != 1:
+        raise ValueError("inputs must be 1-d and the same length")
+    r, ss = _pearson_matrix([xv, yv])
+    if (ss == 0.0).any():
         raise ValueError("undefined correlation: constant input")
-    r = float(sxy) / math.sqrt(sx * sy)
-    if math.isnan(r):
+    if np.isnan(r[0, 1]):
         raise ValueError("undefined correlation: non-finite sums")
-    return min(1.0, max(-1.0, r))
+    return float(r[0, 1])
 
 
 def midranks(x):
@@ -70,11 +73,10 @@ class CorrMatrix:
 
 
 def correlation_matrix(data, method="spearman", labels=None):
-    """Pairwise correlations of the columns of `data`.
+    """Correlations of every pair of the columns of `data`: an ErrorMatrix's errors or an N x K array.
 
-    `data` is either an ErrorMatrix (its error columns are used) or an
-    N x K array.  Any constant column makes the correlation undefined and
-    raises naming it, rather than silently contributing zeros to the display.
+    A constant column, or one whose centring overflows, makes r undefined
+    and raises naming it, rather than contributing zeros or NaN to a display.
     """
     if hasattr(data, "errors"):
         values = data.errors
@@ -86,13 +88,11 @@ def correlation_matrix(data, method="spearman", labels=None):
         raise ValueError("need at least 2 columns")
     if method not in ("pearson", "spearman"):
         raise ValueError(f"unknown correlation method {method!r}")
-    k = values.shape[1]
     for label, c in zip(labels, values.T):
         if (c[1:] == c[:-1]).all():
             raise ValueError(f"undefined correlation: column {label!r} is constant")
-    cols = [midranks(c) for c in values.T] if method == "spearman" else list(values.T)
-    out = np.eye(k)
-    for i in range(k):
-        for j in range(i + 1, k):
-            out[i, j] = out[j, i] = pearson(cols[i], cols[j])
+    out, ss = _pearson_matrix([midranks(c) for c in values.T] if method == "spearman" else list(values.T))
+    if not np.isfinite(ss).all():
+        raise ValueError(f"undefined correlation: column {labels[np.isfinite(ss).argmin()]!r} overflows when centred")
+    np.fill_diagonal(out, 1.0)
     return CorrMatrix(values=out, labels=labels, method=method)

@@ -315,11 +315,14 @@ def hd_convergence_study(config, modes=("A", "B")):
     the estimates by five quantiles.  Mode B bootstraps subsets of one
     fixed sample of 500, additionally counting the distinct estimate
     values (the smooth estimator produces many more of them, which is why
-    it pairs well with the bootstrap).  Other modes raise ValueError.
+    it pairs well with the bootstrap).  Other modes and a second scenario
+    raise ValueError; `extra` holds a normal scenario's `reference_q<level>`.
     """
     if not modes or not set(modes) <= {"A", "B"}:
         raise ValueError(f"hdstudy modes must be A and/or B, got {tuple(modes)!r}")
-    scen = config.gh_scenarios[0]
+    if len(config.gh_scenarios) != 1:
+        raise ValueError(f"hdstudy runs one scenario, got {'; '.join(s.label for s in config.gh_scenarios)}")
+    (scen,) = config.gh_scenarios
     q = config.statistic.q if config.statistic is not None and config.statistic.kind == "q" else 0.95
     reference = (
         population_folded_stats(scen.mu, scen.sigma, q=q).q95 if scen.g == 0 and scen.h == 0 else None
@@ -347,5 +350,5 @@ def hd_convergence_study(config, modes=("A", "B")):
         columns=("mode", "n", "estimator", "q05", "q25", "q50", "q75", "q95", "n_distinct"),
         rows=rows,
         config=config,
-        extra={} if reference is None else {"reference_q95": reference},
+        extra={} if reference is None else {f"reference_{hd.label.lower()}": reference},
     )

@@ -209,10 +209,10 @@ def delta_ecdf(e1, e2, plan, labels=("M1", "M2"), system_ids=None, uncertainty_b
     ends = np.searchsorted(sorted_deltas, sorted_deltas, side="right")
     ecdf = ends / n
 
-    # Every replicate is a count row in sorted-delta order.  Its running
-    # total read at a tie group's end is how many resampled deltas lie at
-    # or below that value; its contraction with these terms gives the
-    # number and sum of strict gains and losses and the sum of all deltas.
+    # Every replicate is a count row in sorted-delta order.  Its contraction
+    # with these terms gives the number and sum of strict gains and losses
+    # and the sum of all deltas; then its running total, taken in place, read
+    # at a tie group's end is how many resampled deltas lie at or below it.
     position = np.empty(n, dtype=np.intp)
     position[order] = np.arange(n)
     gain, loss = sorted_deltas < 0, sorted_deltas > 0
@@ -224,8 +224,9 @@ def delta_ecdf(e1, e2, plan, labels=("M1", "M2"), system_ids=None, uncertainty_b
     sums = np.empty((plan.B, terms.shape[0]))
     for lo, idx in replicate_blocks(plan, n):
         counts = resample_counts(position[idx], n)
-        below[:, lo : lo + idx.shape[0]] = np.cumsum(counts, axis=1)[:, ends - 1].T
         sums[lo : lo + idx.shape[0]] = weighted_sums(counts, terms)
+        below[:, lo : lo + idx.shape[0]] = np.cumsum(counts, axis=1, out=counts)[:, ends - 1].T
+        del counts  # before the next block is drawn and counted, so two blocks' counts never coexist
     band_lo, band_hi = _percentile_band(below, n_prime)
 
     n_gain, gain_sum, n_loss, loss_sum, delta_sum = sums.T

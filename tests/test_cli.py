@@ -339,7 +339,11 @@ def test_corr_pearson_of_overflowing_values_exits_2(tmp_path, capsys):
     table = tmp_path / "huge.csv"
     table.write_text("System,Ref,M1,M2\n" + "".join(f"s{i},0,{1.5e308 * (-1) ** (i // 3)!r},{i}\n" for i in range(6)))
     assert run(["corr", str(table), "--pearson", "--on", "values"]) == 2
-    assert "undefined correlation" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "undefined correlation" in err
+    # M2's values are fine; the one error line names the column whose centring overflows.
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: undefined correlation: column 'M1' overflows when centred"]
 
 
 @pytest.mark.parametrize("method", [[], ["--pearson"]])
@@ -618,6 +622,42 @@ def test_simulate_hdstudy(tmp_path):
     lines = csv_out.read_text().strip().splitlines()
     assert lines[0].startswith("mode,n,estimator")
     assert len(lines) == 5
+
+
+def test_simulate_hdstudy_names_its_reference_after_the_quantile_level(tmp_path, capsys):
+    json_out = tmp_path / "hd.json"
+    assert run(["simulate", "hdstudy", "--stat", "q90", "--n", "20", "--reps", "100", "--mode", "A",
+                "--json", str(json_out)]) == 0
+    out = capsys.readouterr().out
+    # The 0.9 quantile of |X| for X ~ N(0, 1) is the normal's 0.95 quantile.
+    assert "reference_q90 = 1.64485" in out and "reference_q95" not in out
+    assert json.loads(json_out.read_text())["report"]["extra"] == {"reference_q90": pytest.approx(1.6448536, abs=1e-6)}
+
+
+def test_simulate_hdstudy_rejects_more_than_one_scenario(tmp_path, capsys):
+    json_out = tmp_path / "hd.json"
+    assert run(["simulate", "hdstudy", "--n", "20", "--reps", "100", "--scenarios", "normal,heavy",
+                "--json", str(json_out)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: hdstudy runs one scenario, got g=0,h=0; g=0,h=0.2\n"
+    assert not json_out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, shape",
+    [
+        (["sip", GOLDEN, "--pair", "M01,M02"], "(40, 10000000000000000)"),
+        (["simulate", "type1", "--n", "20", "--reps", "100"], "(10000000000000000, 20)"),
+    ],
+)
+def test_request_too_large_for_memory_exits_2(tmp_path, capsys, argv, shape):
+    # 355 PiB and 1.39 EiB: more than any 64-bit address space, so numpy fails before any work.
+    json_out = tmp_path / "big.json"
+    assert run([*argv, "--boot", "10000000000000000", "--json", str(json_out)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: Unable to allocate ") and shape in err and len(err.splitlines()) == 1
+    assert not json_out.exists()
 
 
 @pytest.mark.parametrize("mode", ["C", "A,C", ""])

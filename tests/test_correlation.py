@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath
@@ -157,17 +158,27 @@ def test_matrix_trivial_cases():
 
 
 def test_matrix_equals_pairwise_calls():
+    # Correlated columns, every other one on a tie-rich grid of 0.25, scaled by 1, 2**900 or 2**-900.
     rng = np.random.default_rng(6)
-    cols = rng.normal(size=(40, 3))
-    em = ErrorMatrix(errors=cols, method_names=["A", "B", "C"])
-    m = correlation_matrix(em, method="spearman")
-    assert m.labels == ["A", "B", "C"]
-    for i in range(3):
-        assert m.values[i, i] == 1.0
-        for j in range(3):
-            if i != j:
-                assert m.values[i, j] == spearman(cols[:, i], cols[:, j])
-    assert np.allclose(m.values, m.values.T, atol=1e-12)
+    shared = rng.normal(size=300)
+    cols = [np.round(4 * (shared + rng.normal(size=300))) / 4 if j % 2 else shared + rng.normal(size=300)
+            for j in range(10)]
+    cols = [c * 2.0 ** (0, 900, -900)[j % 3] for j, c in enumerate(cols)]
+    for k in (2, 5, 10):
+        labels = [f"C{j}" for j in range(k)]
+        values = np.column_stack(cols[:k])
+        for (method, pair), data in itertools.product(
+            (("pearson", pearson), ("spearman", spearman)), (ErrorMatrix(errors=values, method_names=labels), values)
+        ):
+            m = correlation_matrix(data, method=method, labels=labels)
+            assert m.labels == labels
+            assert np.array_equal(np.diagonal(m.values), np.ones(k))
+            # Each cell is, bit for bit, the pair function of the two columns as passed.  A mean read
+            # across the rows of values.T, which numpy sums in plain order, not pairwise, fails this.
+            for i in range(k):
+                for j in range(k):
+                    if i != j:
+                        assert m.values[i, j] == pair(values[:, i], values[:, j]), (method, k, i, j)
 
 
 def test_matrix_rejects_constant_column():

@@ -12,13 +12,16 @@ side's `src` on PYTHONPATH, in a directory of its own and with the same
 argv on both sides.  The set covers every subcommand, statistic and
 quantile method, `--nprime`, `--orientation higher` and `sip --pair` at
 B = 1000 and B = 257, on the perfbench tables with N = 6, 37, 100 and 5000
-(perfbench/gen.py of the working tree, K = 10, seed 7), on
+(perfbench/gen.py of the working tree, K = 10, seed 7), the four `corr`
+variants on a wide table (N = 300, K = 30, seed 7), on
 tests/data/golden.csv, on that table times 2**990 (errors up to 2.1e298)
 and on a table of errors near 3e-310, below the smallest normal float.
 Three variants of the N = 100 table cover both of the loader's paths:
 quoted ids, CRLF line ends, and a blank line, a comment line and a row
 with an empty cell, which is dropped with a warning.  It also holds the
-non-finite flag values and the overflowing g-and-h sample that must exit 2.
+non-finite flag values, the overflowing g-and-h sample, a second `hdstudy`
+scenario and requests too large for memory, all of which must exit 2, and
+`simulate corrtransfer` over all four g-and-h scenarios.
 
 Every difference in exit code, stdout, stderr or a written file is
 printed, the text ones as a unified diff; the exit status is 1 if
@@ -38,6 +41,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_pairs import checkout_parent, copy_working_tree, git  # noqa: E402
 
 TABLE_SIZES = (6, 37, 100, 5000)
+WIDE = (300, 30)  # N and K of the wide table
 LOADER_VARIANTS = ("quoted", "crlf", "gaps")  # of the N = 100 table
 SEED = ["--seed", "17"]
 WORKERS = 2  # the two sides of one invocation run side by side
@@ -48,7 +52,8 @@ def write_tables(tree, dest):
     """The perfbench tables, golden.csv, its scaled copy and the subnormal table in dest; returns {name: path}."""
     gen = ("import sys; sys.path.insert(0, 'perfbench'); import gen\n"
            f"for n in {TABLE_SIZES!r}:\n"
-           f"    gen.write_table(f'{dest}/n{{n}}.csv', *gen.make_table(n, 10, 7))\n")
+           f"    gen.write_table(f'{dest}/n{{n}}.csv', *gen.make_table(n, 10, 7))\n"
+           f"gen.write_table('{dest}/wide.csv', *gen.make_table({WIDE[0]}, {WIDE[1]}, 7))\n")
     subprocess.run([sys.executable, "-c", gen], cwd=tree, check=True)
     shutil.copy(tree / "tests" / "data" / "golden.csv", dest / "golden.csv")
     # Every number of golden.csv times 2**990, which is exact: cells up to 4e299, errors up to 2.1e298.
@@ -76,7 +81,7 @@ def invocations(tables):
         out.append((name, [*argv, *(a for ext in files for a in (f"--{ext}", f"out.{ext}"))]))
 
     for t, path in tables.items():
-        if t in ("subnormal", "scaled", *LOADER_VARIANTS):
+        if t in ("subnormal", "scaled", "wide", *LOADER_VARIANTS):
             continue
         table = str(path)
         nprime = "4" if t == "n6" else "20"
@@ -107,6 +112,9 @@ def invocations(tables):
         add(f"{t}/rank/q95", "rank", table, "--stat", "q95", *SEED, files=("json", "csv", "svg"))
         add(f"{t}/sip-pair", "sip", table, "--pair", "M01,M03", *SEED, files=("json", "csv", "ecdf"))
         add(f"{t}/corr", "corr", table, files=("json", "csv", "svg"))
+    for corr in ([], ["--pearson"], ["--on", "values"], ["--pearson", "--on", "values"]):
+        add(f"wide/corr/{'-'.join(corr) or 'spearman'}", "corr", str(tables["wide"]), *corr,
+            files=("json", "csv", "svg"))
     sim = ["--reps", "100", "--boot", "100", *SEED]
     add("simulate/gh", "simulate", "gh", "--g", "0.2", "--h", "0.1", "--n", "50", *SEED, files=("json", "csv"))
     add("simulate/type1-mue", "simulate", "type1", "--stat", "mue", "--n", "20", "--rho", "0.5", *sim,
@@ -115,8 +123,17 @@ def invocations(tables):
     add("simulate/type1-q95-type7", "simulate", "type1", "--stat", "q95", "--quantile-method", "type7",
         "--n", "20", *sim, files=("csv",))
     add("simulate/hdstudy", "simulate", "hdstudy", "--n", "15,30", "--reps", "100", *SEED, files=("json", "csv"))
+    add("simulate/hdstudy-q90", "simulate", "hdstudy", "--stat", "q90", "--n", "15", "--reps", "100", *SEED,
+        files=("json",))
+    add("simulate/hdstudy-two-scenarios", "simulate", "hdstudy", "--scenarios", "normal,heavy", "--n", "15",
+        "--reps", "100", *SEED, files=("json",))
     add("simulate/corrtransfer", "simulate", "corrtransfer", "--n", "20", "--rho=-0.5,0.5", "--reps", "100",
         *SEED, files=("json",))
+    add("simulate/corrtransfer-scenarios", "simulate", "corrtransfer", "--scenarios", "normal,heavy,asym,heavyasym",
+        "--n", "20", "--rho=-0.5,0.5", "--reps", "100", *SEED, files=("json", "csv"))
+    huge = "10000000000000000"  # 355 PiB of counts, 1.39 EiB of indices: more than any address space
+    add("simulate/type1-too-large", "simulate", "type1", "--n", "20", "--reps", "100", "--boot", huge, *SEED,
+        files=("json",))
     for shape in (["--h", "nan"], ["--sigma", "nan"], ["--mu", "inf"], ["--sigma", "inf"]):
         add(f"simulate/gh/{shape[0][2:]}-{shape[1]}", "simulate", "gh", *shape, "--n", "50", *SEED,
             files=("json", "csv"))
@@ -125,6 +142,7 @@ def invocations(tables):
     add("golden/compare/kappa-nan", "compare", golden, "--pair", "M01,M02", "--kappa", "nan", *SEED)
     add("golden/sip-pair/ubar-nan", "sip", golden, "--pair", "M01,M03", "--ubar", "nan", *SEED,
         files=("json", "ecdf"))
+    add("golden/sip-pair/too-large", "sip", golden, "--pair", "M01,M02", "--boot", huge, *SEED, files=("json",))
     big = str(tables["scaled"])
     for stat in ("mse", "mue", "rmsd", "q95"):
         add(f"scaled/stats/{stat}", "stats", big, "--stat", stat, *SEED, files=("json", "csv"))
