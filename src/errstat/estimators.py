@@ -24,7 +24,6 @@ __all__ = [
     "evaluate",
     "evaluate_rows",
     "sample_sd",
-    "resample_counts",
     "weighted_sums",
     "quantile_hd",
     "quantile_type7",
@@ -185,17 +184,13 @@ def weighted_sums(a, b):
     return np.einsum("ij,kj->ik", a, b)
 
 
-def resample_counts(idx, n):
-    """(b, n) float counts: entry [r, i] is how often row i occurs in idx[r].
+def _count(idx, counts, empty=np.empty):
+    """Fill counts (b, n): entry [r, i] is how often row i occurs in idx[r], counted through flat indices.
 
     In this resampling-vector view of the bootstrap (Efron and Tibshirani
     1993) a resample's sum of any per-row value is a count-weighted sum.
+    `empty` gives the flat indices' scratch.
     """
-    return _count(idx, np.empty((len(idx), n)))
-
-
-def _count(idx, counts, empty=np.empty):
-    """Fill counts (b, n) with `resample_counts(idx, n)` through flat indices: `empty` gives their scratch."""
     counts.fill(0.0)
     n, step = counts.shape[1], max(1, _COUNT_CELLS // max(idx.shape[1], 1))
     flat = empty((min(len(idx), step), idx.shape[1]), np.intp)

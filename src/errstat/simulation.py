@@ -157,32 +157,32 @@ class FoldedStats:
 _FOLDED_Q_TOL = 1e-8  # bisection stops when the bracket is this narrow
 
 
-def population_folded_stats(mu, sigma, q=0.95):
+def _phi(x):
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def _folded_quantile(mu, sigma, q):
+    """The q quantile of |X| for X ~ N(mu, sigma), by bisection on P(|X| <= x) = Phi((x-mu)/s) - Phi((-x-mu)/s)."""
+    lo, hi = 0.0, abs(mu) + 20.0 * sigma
+    while hi - lo > _FOLDED_Q_TOL:
+        mid = 0.5 * (lo + hi)
+        if _phi((mid - mu) / sigma) - _phi((-mid - mu) / sigma) < q:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def population_folded_stats(mu, sigma):
     """Exact MSE/RMSD/MUE/Q95 of a normal error distribution.
 
-    MUE is the folded-normal mean; the quantile of |X| is solved by
-    bisection on P(|X| <= x) = Phi((x-mu)/s) - Phi((-x-mu)/s), with
+    MUE is the folded-normal mean and Q95 the 0.95 quantile of |X|, with
     Phi(x) = erfc(-x / sqrt 2) / 2.
     """
     if sigma <= 0:
         raise ValueError("sigma must be > 0")
-
-    def phi(x):
-        return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-    mue = sigma * np.sqrt(2.0 / np.pi) * np.exp(-(mu**2) / (2.0 * sigma**2)) + mu * (1.0 - 2.0 * phi(-mu / sigma))
-
-    def folded_cdf(x):
-        return phi((x - mu) / sigma) - phi((-x - mu) / sigma)
-
-    lo, hi = 0.0, abs(mu) + 20.0 * sigma
-    while hi - lo > _FOLDED_Q_TOL:
-        mid = 0.5 * (lo + hi)
-        if folded_cdf(mid) < q:
-            lo = mid
-        else:
-            hi = mid
-    return FoldedStats(mse=float(mu), rmsd=float(sigma), mue=float(mue), q95=0.5 * (lo + hi))
+    mue = sigma * np.sqrt(2.0 / np.pi) * np.exp(-(mu**2) / (2.0 * sigma**2)) + mu * (1.0 - 2.0 * _phi(-mu / sigma))
+    return FoldedStats(mse=float(mu), rmsd=float(sigma), mue=float(mue), q95=_folded_quantile(mu, sigma, 0.95))
 
 
 @dataclass(frozen=True)
@@ -324,9 +324,7 @@ def hd_convergence_study(config, modes=("A", "B")):
         raise ValueError(f"hdstudy runs one scenario, got {'; '.join(s.label for s in config.gh_scenarios)}")
     (scen,) = config.gh_scenarios
     q = config.statistic.q if config.statistic is not None and config.statistic.kind == "q" else 0.95
-    reference = (
-        population_folded_stats(scen.mu, scen.sigma, q=q).q95 if scen.g == 0 and scen.h == 0 else None
-    )
+    reference = _folded_quantile(scen.mu, scen.sigma, q) if scen.g == 0 and scen.h == 0 else None
     hd = StatKind.quantile(q, "hd")
     q7 = StatKind.quantile(q, "type7")
     rows = []

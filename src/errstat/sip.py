@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import StatKind, evaluate_rows, lerp, percentile, resample_counts, weighted_sums
+from .estimators import StatKind, _count, evaluate_rows, lerp, percentile, weighted_sums
 
 __all__ = [
     "SipReport",
@@ -30,12 +30,15 @@ __all__ = [
 
 
 def abs_error_deltas(e1, e2):
-    """Per-system differences of absolute errors |e1_k| - |e2_k|."""
+    """Per-system differences of absolute errors |e1_k| - |e2_k|; each is < 0, 0 or > 0, never NaN."""
     a = np.asarray(e1, dtype=float)
     b = np.asarray(e2, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("paired error sets must be 1-d and the same length")
-    return np.abs(a) - np.abs(b)
+    deltas = np.abs(a) - np.abs(b)
+    if not np.isfinite(deltas).all():
+        raise ValueError("paired error sets must be finite")
+    return deltas
 
 
 _MUE = StatKind.mue()
@@ -210,26 +213,29 @@ def delta_ecdf(e1, e2, plan, labels=("M1", "M2"), system_ids=None, uncertainty_b
     ecdf = ends / n
 
     # Every replicate is a count row in sorted-delta order.  Its contraction
-    # with these terms gives the number and sum of strict gains and losses
-    # and the sum of all deltas; then its running total, taken in place, read
-    # at a tie group's end is how many resampled deltas lie at or below it.
+    # with these terms gives the sums of strict gains, of strict losses and
+    # of all deltas; then its running total, taken in place, read at a tie
+    # group's end is how many resampled deltas lie at or below it.
     position = np.empty(n, dtype=np.intp)
     position[order] = np.arange(n)
-    gain, loss = sorted_deltas < 0, sorted_deltas > 0
-    terms = np.array(
-        [gain, np.where(gain, sorted_deltas, 0.0), loss, np.where(loss, sorted_deltas, 0.0), sorted_deltas]
-    )
+    terms = np.array([np.minimum(sorted_deltas, 0.0), np.maximum(sorted_deltas, 0.0), sorted_deltas])
     n_prime = plan.resample_size(n)
     below = np.empty((n, plan.B), dtype=np.min_scalar_type(n_prime))
     sums = np.empty((plan.B, terms.shape[0]))
+    counts = None
     for lo, idx in replicate_blocks(plan, n):
-        counts = resample_counts(position[idx], n)
-        sums[lo : lo + idx.shape[0]] = weighted_sums(counts, terms)
-        below[:, lo : lo + idx.shape[0]] = np.cumsum(counts, axis=1, out=counts)[:, ends - 1].T
-        del counts  # before the next block is drawn and counted, so two blocks' counts never coexist
+        if counts is None:  # one buffer, sized by the first block, the largest
+            counts = np.empty((idx.shape[0], n))
+        block = _count(position[idx], counts[: idx.shape[0]])
+        sums[lo : lo + idx.shape[0]] = weighted_sums(block, terms)
+        below[:, lo : lo + idx.shape[0]] = np.cumsum(block, axis=1, out=block)[:, ends - 1].T
+    # Read before the band reorders below: the totals at the last negative and the last non-positive delta.
+    negative, non_positive = (np.searchsorted(sorted_deltas, 0.0, side) for side in ("left", "right"))
+    n_gain = below[negative - 1].astype(float) if negative else np.zeros(plan.B)
+    n_loss = n_prime - (below[non_positive - 1].astype(float) if non_positive else np.zeros(plan.B))
     band_lo, band_hi = _percentile_band(below, n_prime)
 
-    n_gain, gain_sum, n_loss, loss_sum, delta_sum = sums.T
+    gain_sum, loss_sum, delta_sum = sums.T
     has_gain, has_loss = n_gain > 0, n_loss > 0  # the replicates where MG (ML) is defined
     gains, losses, mg_val, ml_val = _scores(deltas)
     ordered_ids = None

@@ -18,7 +18,7 @@ import pytest
 
 import errstat.inference as inf
 from errstat.dataset import ErrorMatrix
-from errstat.estimators import StatKind, _Resampled, evaluate, resample_counts, weighted_sums
+from errstat.estimators import StatKind, _count, _Resampled, evaluate, weighted_sums
 from errstat.inference import (
     BootstrapPlan,
     compare_pair,
@@ -123,6 +123,29 @@ def _check_delta_ecdf(e1, e2, plan):
             assert got.lo is None and got.hi is None
         else:
             _assert_close([got.lo, got.hi], want, np.abs(d).max())
+
+
+@pytest.mark.parametrize("rows_per_block", [None, 7])
+def test_delta_ecdf_matches_gather_oracle_on_edge_pairs(rows_per_block, monkeypatch):
+    # The gain and loss counts are read from the running totals: pairs with
+    # no gain, no loss, only ties, ties at zero, at n' = n and n' < n; with
+    # 7 replicates per block, B = 100 spans 15 blocks and the last holds 2.
+    rng = np.random.default_rng(31)
+    n = 60
+    if rows_per_block:
+        monkeypatch.setattr(inf, "BLOCK_CELLS", n * rows_per_block)
+    e = rng.normal(size=n)
+    zero = rng.random(n) < 0.3
+    pairs = (
+        (2 * e, e),  # every delta > 0 (|2e| - |e| is exact): no gain, n' losses
+        (e, 2 * e),  # every delta < 0: no loss
+        (e, e.copy()),  # every delta 0
+        (e, np.where(zero, -e, 2 * e)),  # deltas 0 or < 0: ties only at zero, no loss
+        (e, np.where(zero, -e, rng.normal(size=n))),  # gains, losses and ties at zero
+    )
+    for e1, e2 in pairs:
+        for n_prime in (None, 25):
+            _check_delta_ecdf(e1, e2, BootstrapPlan(B=100, seed=4, n_prime=n_prime))
 
 
 @pytest.mark.parametrize("n_prime", [None, 700])
@@ -302,14 +325,14 @@ def test_reused_evaluator_equals_a_fresh_one():
 
 
 def test_counts_of_blocks_wider_than_the_flat_scratch():
-    # The evaluator and resample_counts count a block through _COUNT_CELLS
+    # The evaluator and _count count a block through _COUNT_CELLS
     # flat indices, a few rows at a time.  Both equal a per-row bincount,
     # and so do the means made from them.
     rng = np.random.default_rng(12)
     for n, n_prime, b in ((500, 500, 80), (300, 40000, 3), (50, 50, 0)):
         idx = rng.integers(0, n, size=(b, n_prime))
         want = np.array([np.bincount(row, minlength=n) for row in idx], dtype=float).reshape(b, n)
-        assert np.array_equal(resample_counts(idx, n), want)
+        assert np.array_equal(_count(idx, np.empty((b, n))), want)
         cols = _tied_columns(rng, n, 2)
         got = _Resampled(StatKind.mse()).bind(cols)(idx)
         assert np.array_equal(got, weighted_sums(want, np.ascontiguousarray(cols.T)) / n_prime)
@@ -323,7 +346,7 @@ def test_counts_below_at_and_above_the_flat_scratch_bound(monkeypatch):
     for n, n_prime, b in ((20, 20, 3), (16, 16, 4), (20, 20, 10), (50, 20, 7), (50, 8, 8), (30, 100, 5), (9, 9, 0)):
         idx = rng.integers(0, n, size=(b, n_prime))
         want = np.array([np.bincount(row, minlength=n) for row in idx], dtype=float).reshape(b, n)
-        assert np.array_equal(resample_counts(idx, n), want)
+        assert np.array_equal(_count(idx, np.empty((b, n))), want)
         cols = _tied_columns(rng, n, 2)
         got = _Resampled(StatKind.mue()).bind(cols)(idx)
         assert np.array_equal(got, weighted_sums(want, np.ascontiguousarray(np.abs(cols).T)) / n_prime)

@@ -171,6 +171,20 @@ def test_folded_q95_solves_cdf():
     assert cdf == pytest.approx(0.95, abs=1e-7)
 
 
+def test_folded_q95_is_always_the_095_quantile():
+    # q95 names the 0.95 quantile: no level is taken, and other levels come from the private bisection.
+    from scipy.special import ndtr
+
+    from errstat.simulation import _folded_quantile
+
+    with pytest.raises(TypeError):
+        population_folded_stats(0.0, 1.0, q=0.9)
+    assert population_folded_stats(0.3, 1.7).q95 == _folded_quantile(0.3, 1.7, 0.95)
+    for q in (0.5, 0.9):
+        x = _folded_quantile(0.3, 1.7, q)
+        assert ndtr((x - 0.3) / 1.7) - ndtr((-x - 0.3) / 1.7) == pytest.approx(q, abs=1e-7)
+
+
 # --------------------------------------------------------------------- studies
 
 def test_study_config_validation():

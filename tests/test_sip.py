@@ -38,6 +38,17 @@ def test_abs_error_deltas():
     np.testing.assert_array_equal(abs_error_deltas(-e1, e2), abs_error_deltas(e1, e2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pair_functions_reject_non_finite_errors(bad):
+    # delta_ecdf counts each replicate's losses as the deltas above the last
+    # non-positive one, so a NaN delta, which is neither, is rejected up front.
+    e1, e2 = np.array([0.1, -0.5, bad, 0.3]), np.array([0.2, 0.4, 0.1, -0.1])
+    for call in (lambda: abs_error_deltas(e1, e2), lambda: abs_error_deltas(e2, e1),
+                 lambda: mue_decomposition(e1, e2), lambda: delta_ecdf(e2, e1, BootstrapPlan(B=100, seed=1))):
+        with pytest.raises(ValueError, match="paired error sets must be finite"):
+            call()
+
+
 def _em(cols, names=None):
     cols = np.column_stack(cols)
     names = names or [f"M{j + 1}" for j in range(cols.shape[1])]

@@ -20,7 +20,8 @@ inclusive quartiles, interquartile range and best run, how many pairs the
 change wins (ties count for neither), the gap between the medians in the
 better direction that BENCHMARK.json declares, and whether that gap
 exceeds the parent's interquartile range.  Its "machine" block names the
-BLAS thread variables both sides inherited, or "default".  If --out exists,
+BLAS thread variables both sides inherited, or "default", and the CPU
+features that numpy dispatches to ("cpu_features").  If --out exists,
 only its "trace<N>" entry is replaced, so --trace 0 and --trace 1 runs can
 fill one record.  Only the standard library is used.
 """
@@ -109,13 +110,19 @@ def summarise(pairs, directions):
 
 
 def machine():
-    numpy = subprocess.run([sys.executable, "-c", "import numpy; print(numpy.__version__)"],
-                           capture_output=True, text=True).stdout.strip()
+    # The SIMD features numpy dispatches to decide, among others, where partitions overtake sorts.
+    probe = ("import json, numpy\n"
+             "try:\n    from numpy._core._multiarray_umath import __cpu_features__ as f\n"
+             "except ImportError:\n    from numpy.core._multiarray_umath import __cpu_features__ as f\n"
+             "print(json.dumps([numpy.__version__, sorted(k for k, v in f.items() if v)]))")
+    numpy, features = json.loads(subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                                                check=True).stdout)
     # A thread count set here reaches both sides, and would hide a change to errstat's own BLAS cap.
     names = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
     blas = {v: os.environ[v] for v in names if v in os.environ}
     return {"cores": os.cpu_count(), "affinity": len(os.sched_getaffinity(0)), "machine": platform.machine(),
-            "python": platform.python_version(), "numpy": numpy, "blas_threads": blas or "default"}
+            "python": platform.python_version(), "numpy": numpy, "cpu_features": features,
+            "blas_threads": blas or "default"}
 
 
 def main(argv=None):

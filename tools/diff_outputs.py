@@ -14,8 +14,11 @@ quantile method, `--nprime`, `--orientation higher` and `sip --pair` at
 B = 1000 and B = 257, on the perfbench tables with N = 6, 37, 100 and 5000
 (perfbench/gen.py of the working tree, K = 10, seed 7), the four `corr`
 variants on a wide table (N = 300, K = 30, seed 7), on
-tests/data/golden.csv, on that table times 2**990 (errors up to 2.1e298)
-and on a table of errors near 3e-310, below the smallest normal float.
+tests/data/golden.csv, on that table times 2**990 (errors up to 2.1e298),
+on a table of errors near 3e-310, below the smallest normal float, and on
+a table whose M02 is twice M01, so that `sip --pair` meets a pair without
+losses, one without gains and ties only at zero; golden.csv's M01 against
+itself ties everywhere.
 Three variants of the N = 100 table cover both of the loader's paths:
 quoted ids, CRLF line ends, and a blank line, a comment line and a row
 with an empty cell, which is dropped with a warning.  It also holds the
@@ -64,6 +67,9 @@ def write_tables(tree, dest):
     # Errors k * 2**-1036 with k in 150..306, one column of mixed sign: exact, 2e-310 to 4.2e-310.
     rows = [f"s{i},0,{-(150 + 4 * i) * 2.0**-1036!r},{(160 + 3 * i) * (-1) ** i * 2.0**-1036!r}" for i in range(40)]
     (dest / "subnormal.csv").write_text("\n".join(["System,Ref,M01,M02", *rows]) + "\n")
+    # M02 = 2 * M01 exactly, and M01 is 0 on every seventh row: |M01| - |M02| is never > 0 and is 0 only there.
+    rows = [f"s{i},0,{(i % 7 - 3) * 0.375!r},{(i % 7 - 3) * 0.75!r}" for i in range(40)]
+    (dest / "doubled.csv").write_text("\n".join(["System,Ref,M01,M02", *rows]) + "\n")
     lines = (dest / "n100.csv").read_text().splitlines()
     quoted = [lines[0], *(f'"{line.split(",", 1)[0]}",{line.split(",", 1)[1]}' for line in lines[1:])]
     (dest / "quoted.csv").write_text("\n".join(quoted) + "\n")
@@ -81,7 +87,7 @@ def invocations(tables):
         out.append((name, [*argv, *(a for ext in files for a in (f"--{ext}", f"out.{ext}"))]))
 
     for t, path in tables.items():
-        if t in ("subnormal", "scaled", "wide", *LOADER_VARIANTS):
+        if t in ("subnormal", "scaled", "wide", "doubled", *LOADER_VARIANTS):
             continue
         table = str(path)
         nprime = "4" if t == "n6" else "20"
@@ -143,6 +149,10 @@ def invocations(tables):
     add("golden/sip-pair/ubar-nan", "sip", golden, "--pair", "M01,M03", "--ubar", "nan", *SEED,
         files=("json", "ecdf"))
     add("golden/sip-pair/too-large", "sip", golden, "--pair", "M01,M02", "--boot", huge, *SEED, files=("json",))
+    add("golden/sip-pair/self", "sip", golden, "--pair", "M01,M01", *SEED, files=("json", "csv", "ecdf"))
+    for pair in ("M01,M02", "M02,M01"):  # no loss, then no gain; ties only at zero
+        add(f"doubled/sip-pair/{pair}", "sip", str(tables["doubled"]), "--pair", pair, *SEED,
+            files=("json", "csv", "ecdf"))
     big = str(tables["scaled"])
     for stat in ("mse", "mue", "rmsd", "q95"):
         add(f"scaled/stats/{stat}", "stats", big, "--stat", stat, *SEED, files=("json", "csv"))
