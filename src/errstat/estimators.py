@@ -34,7 +34,6 @@ __all__ = [
 
 _KINDS = ("mse", "mue", "rmsd", "q")
 _QUANTILE_METHODS = ("hd", "type7")
-_COUNT_CELLS = 1 << 14  # flat indices (128 KB) a count goes through: larger blocks count a few rows at a time
 
 
 @dataclass(frozen=True)
@@ -184,31 +183,27 @@ def weighted_sums(a, b):
     return np.einsum("ij,kj->ik", a, b)
 
 
-def _count(idx, counts, empty=np.empty):
-    """Fill counts (b, n): entry [r, i] is how often row i occurs in idx[r], counted through flat indices.
+def _count(idx, counts):
+    """Fill counts (b, n): entry [r, i] is how often row i occurs in idx[r]; consumes the intp block idx.
 
     In this resampling-vector view of the bootstrap (Efron and Tibshirani
     1993) a resample's sum of any per-row value is a count-weighted sum.
-    `empty` gives the flat indices' scratch.
+    Each row's start in the flat counts, r * n, is added to idx in place.
     """
     counts.fill(0.0)
-    n, step = counts.shape[1], max(1, _COUNT_CELLS // max(idx.shape[1], 1))
-    flat = empty((min(len(idx), step), idx.shape[1]), np.intp)
-    for lo in range(0, len(idx), step):
-        part = idx[lo : lo + step]
-        cells = np.add(part, n * np.arange(lo, lo + len(part))[:, None], out=flat[: len(part)])
-        np.add.at(counts.reshape(-1), cells.reshape(-1), 1.0)
+    idx += counts.shape[1] * np.arange(len(idx))[:, None]
+    np.add.at(counts.reshape(-1), idx.reshape(-1), 1.0)
     return counts
 
 
 class _Resampled:
     """One statistic of bound columns on index blocks, in scratch arrays reused across calls.
 
-    `bind(columns)` takes (n, K) columns; a call on a (b, n') block of
+    `bind(columns)` takes (n, K) columns; a call on a (b, n') intp block of
     indices in [0, n) (unchecked: gathers clip) returns the (b, K) results.
-    Means are count contractions, RMSD gathers, and quantiles select column
-    ranks (ties distinct) by `_order_stats`.  Scratch arrays only grow, so
-    blocks of one size allocate none of them again.
+    Means are count contractions, which consume the block, RMSD gathers,
+    and quantiles select column ranks (ties distinct) by `_order_stats`.
+    Scratch arrays only grow, so blocks of one size allocate none again.
     """
 
     def __init__(self, kind):
@@ -236,7 +231,7 @@ class _Resampled:
     def __call__(self, idx):
         b, m = idx.shape
         if self.kind.kind in ("mse", "mue"):
-            counts = _count(idx, self._buffer("counts", (b, self.n), float), partial(self._buffer, "flat"))
+            counts = _count(idx, self._buffer("counts", (b, self.n), float))
             return weighted_sums(counts, self.tables) / m
         out = np.empty((b, len(self.tables)))
         for col, table in enumerate(self.tables):

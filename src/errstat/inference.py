@@ -130,7 +130,10 @@ def replicate_stats(columns, kind, plan):
     if cols.ndim == 1:
         cols = cols[:, None]
     resampled = _Resampled(kind).bind(cols)
-    return np.concatenate([resampled(idx) for _, idx in replicate_blocks(plan, cols.shape[0])])
+    out = np.empty((plan.B, cols.shape[1]))  # before any draw, so a B too large for memory fails at once
+    for lo, idx in replicate_blocks(plan, cols.shape[0]):
+        out[lo : lo + len(idx)] = resampled(idx)
+    return out
 
 
 def bootstrap_se(errors, kind, plan):

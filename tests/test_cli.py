@@ -648,15 +648,22 @@ def test_simulate_hdstudy_rejects_more_than_one_scenario(tmp_path, capsys):
     [
         (["sip", GOLDEN, "--pair", "M01,M02"], "(40, 10000000000000000)"),
         (["simulate", "type1", "--n", "20", "--reps", "100"], "(10000000000000000, 20)"),
+        (["stats", GOLDEN], "(10000000000000000, 5)"),
+        (["compare", GOLDEN, "--pair", "M01,M02"], "(10000000000000000, 2)"),
+        (["rank", GOLDEN], "(10000000000000000, 5)"),
     ],
 )
 def test_request_too_large_for_memory_exits_2(tmp_path, capsys, argv, shape):
-    # 355 PiB and 1.39 EiB: more than any 64-bit address space, so numpy fails before any work.
+    # 142 PiB to 1.39 EiB: more than any 64-bit address space, so numpy fails at the
+    # first B-sized allocation, made before any replicate is drawn.  The band's
+    # running totals (sip) are at least 16 bits; a type-I repetition's draw is int64.
+    dtype = {"sip": "uint16", "simulate": "int64"}.get(argv[0], "float64")
     json_out = tmp_path / "big.json"
     assert run([*argv, "--boot", "10000000000000000", "--json", str(json_out)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error: Unable to allocate ") and shape in err and len(err.splitlines()) == 1
+    assert err.startswith("error: Unable to allocate ") and err.endswith(f" {shape} and data type {dtype}\n")
+    assert len(err.splitlines()) == 1
     assert not json_out.exists()
 
 

@@ -317,39 +317,37 @@ def test_reused_evaluator_equals_a_fresh_one():
             cols = _tied_columns(rng, n, 3)
             for _ in range(2):
                 idx = rng.integers(0, n, size=(b, n_prime))
-                got = resampled.bind(cols)(idx)
+                got = resampled.bind(cols)(idx.copy())  # a mean consumes its block
                 want = _Resampled(kind).bind(cols)(idx)
                 assert np.array_equal(got, want)
                 kept.append((got, want))
         assert all(np.array_equal(got, want) for got, want in kept)
 
 
+def _check_counts_against_a_per_row_bincount(rng, shapes):
+    # _count and the evaluator's MSE and MUE count a (b, n') block of indices
+    # into n cells as a per-row bincount does.
+    for n, n_prime, b in shapes:
+        idx = rng.integers(0, n, size=(b, n_prime))
+        want = np.array([np.bincount(row, minlength=n) for row in idx], dtype=float).reshape(b, n)
+        assert np.array_equal(_count(idx.copy(), np.empty((b, n))), want)
+        cols = _tied_columns(rng, n, 2)
+        for kind, table in ((StatKind.mse(), cols), (StatKind.mue(), np.abs(cols))):
+            got = _Resampled(kind).bind(cols)(idx.copy())
+            assert np.array_equal(got, weighted_sums(want, np.ascontiguousarray(table.T)) / n_prime)
+
+
 def test_counts_of_blocks_wider_than_the_flat_scratch():
-    # The evaluator and _count count a block through _COUNT_CELLS
-    # flat indices, a few rows at a time.  Both equal a per-row bincount,
-    # and so do the means made from them.
-    rng = np.random.default_rng(12)
-    for n, n_prime, b in ((500, 500, 80), (300, 40000, 3), (50, 50, 0)):
-        idx = rng.integers(0, n, size=(b, n_prime))
-        want = np.array([np.bincount(row, minlength=n) for row in idx], dtype=float).reshape(b, n)
-        assert np.array_equal(_count(idx, np.empty((b, n))), want)
-        cols = _tied_columns(rng, n, 2)
-        got = _Resampled(StatKind.mse()).bind(cols)(idx)
-        assert np.array_equal(got, weighted_sums(want, np.ascontiguousarray(cols.T)) / n_prime)
+    # Large blocks, rows of 40,000 indices, no rows, one row and one row with
+    # n' > n, each counted in one flat pass over the whole block.
+    shapes = ((500, 500, 80), (300, 40000, 3), (50, 50, 0), (40, 40, 1), (7, 90, 1))
+    _check_counts_against_a_per_row_bincount(np.random.default_rng(12), shapes)
 
 
-def test_counts_below_at_and_above_the_flat_scratch_bound(monkeypatch):
-    # With the bound at 64 cells, blocks of b * n' below, at and above it,
-    # n' < n and rows wider than the bound all count as a bincount does.
-    monkeypatch.setattr("errstat.estimators._COUNT_CELLS", 64)
-    rng = np.random.default_rng(13)
-    for n, n_prime, b in ((20, 20, 3), (16, 16, 4), (20, 20, 10), (50, 20, 7), (50, 8, 8), (30, 100, 5), (9, 9, 0)):
-        idx = rng.integers(0, n, size=(b, n_prime))
-        want = np.array([np.bincount(row, minlength=n) for row in idx], dtype=float).reshape(b, n)
-        assert np.array_equal(_count(idx, np.empty((b, n))), want)
-        cols = _tied_columns(rng, n, 2)
-        got = _Resampled(StatKind.mue()).bind(cols)(idx)
-        assert np.array_equal(got, weighted_sums(want, np.ascontiguousarray(np.abs(cols).T)) / n_prime)
+def test_counts_below_at_and_above_the_flat_scratch_bound():
+    # Small blocks of b * n' around 64 cells: n' < n, n' = n, n' > n and b = 0.
+    shapes = ((20, 20, 3), (16, 16, 4), (20, 20, 10), (50, 20, 7), (50, 8, 8), (30, 100, 5), (9, 9, 0))
+    _check_counts_against_a_per_row_bincount(np.random.default_rng(13), shapes)
 
 
 def _type1_minor_faults(stat, reps):

@@ -12,13 +12,14 @@ side's `src` on PYTHONPATH, in a directory of its own and with the same
 argv on both sides.  The set covers every subcommand, statistic and
 quantile method, `--nprime`, `--orientation higher` and `sip --pair` at
 B = 1000 and B = 257, on the perfbench tables with N = 6, 37, 100 and 5000
-(perfbench/gen.py of the working tree, K = 10, seed 7), the four `corr`
-variants on a wide table (N = 300, K = 30, seed 7), on
-tests/data/golden.csv, on that table times 2**990 (errors up to 2.1e298),
-on a table of errors near 3e-310, below the smallest normal float, and on
-a table whose M02 is twice M01, so that `sip --pair` meets a pair without
-losses, one without gains and ties only at zero; golden.csv's M01 against
-itself ties everywhere.
+(perfbench/gen.py of the working tree, K = 10, seed 7), `stats`, `rank
+--nprime` and `sip --pair` at a B whose last replicate block holds one row
+on N = 100 and 5000, the four `corr` variants on a wide table (N = 300,
+K = 30, seed 7), on tests/data/golden.csv, on that table times 2**990
+(errors up to 2.1e298), on a table of errors near 3e-310, below the
+smallest normal float, and on a table whose M02 is twice M01, so that
+`sip --pair` meets a pair without losses, one without gains and ties only
+at zero; golden.csv's M01 against itself ties everywhere.
 Three variants of the N = 100 table cover both of the loader's paths:
 quoted ids, CRLF line ends, and a blank line, a comment line and a row
 with an empty cell, which is dropped with a warning.  It also holds the
@@ -46,6 +47,7 @@ from bench_pairs import checkout_parent, copy_working_tree, git  # noqa: E402
 TABLE_SIZES = (6, 37, 100, 5000)
 WIDE = (300, 30)  # N and K of the wide table
 LOADER_VARIANTS = ("quoted", "crlf", "gaps")  # of the N = 100 table
+EDGE_BOOT = {"n5000": "837", "n100": "10486"}  # blocks of 209 and 10,485 replicates, then one more
 SEED = ["--seed", "17"]
 WORKERS = 2  # the two sides of one invocation run side by side
 RUN_TIMEOUT_S = 300
@@ -112,6 +114,12 @@ def invocations(tables):
             files=("json", "csv"))
         add(f"{t}/rank/mse-nprime", "rank", table, "--stat", "mse", "--nprime", nprime, *SEED, files=("json",))
         add(f"{t}/compare/unknown-method", "compare", table, "--pair", "M01,NOPE")
+    for t, boot in EDGE_BOOT.items():  # B whose last replicate block holds one row
+        table = str(tables[t])
+        add(f"{t}/stats/mue-B{boot}", "stats", table, "--stat", "mue", "--boot", boot, *SEED, files=("json",))
+        add(f"{t}/rank/mse-nprime-B{boot}", "rank", table, "--stat", "mse", "--nprime", "20", "--boot", boot,
+            *SEED, files=("json",))
+        add(f"{t}/sip-pair/B{boot}", "sip", table, "--pair", "M01,M03", "--boot", boot, *SEED, files=("json", "csv"))
     for t in LOADER_VARIANTS:
         table = str(tables[t])
         add(f"{t}/stats/mue", "stats", table, "--stat", "mue", *SEED, files=("json", "csv"))
