@@ -153,6 +153,12 @@ def cmd_compare(args):
 
 def cmd_sip(args):
     from .sip import delta_ecdf, sip_matrix
+    if not args.pair:
+        for flag, value in (("--ecdf", args.ecdf), ("--abs-ecdf", args.abs_ecdf), ("--ubar", args.ubar)):
+            if value is not None:
+                raise ValidationError(f"{flag} needs --pair")
+    elif args.svg is not None:
+        raise ValidationError("--svg draws the SIP matrix and does not apply with --pair")
     matrix = _load_matrix(args.data)
     if args.pair:
         m1, m2 = _split_pair(args.pair, matrix)

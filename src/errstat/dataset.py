@@ -156,14 +156,14 @@ def load_table(source):
     or non-finite cells abort the parse.  A leading UTF-8 BOM is skipped.
     """
     if isinstance(source, (str, bytes)) and not _looks_like_inline_csv(source):
-        with open(source, "r", encoding="utf-8-sig") as fh:
+        with open(source, "r", encoding="utf-8") as fh:
             return _load_csv(fh)
     if isinstance(source, bytes):
-        source = source.decode("utf-8-sig")
+        source = source.decode("utf-8")
     if isinstance(source, str):
         return _load_csv(io.StringIO(source))
     if isinstance(source.read(0), bytes):
-        source = io.TextIOWrapper(source, encoding="utf-8-sig")
+        source = io.TextIOWrapper(source, encoding="utf-8")
     return _load_csv(source)
 
 
@@ -179,6 +179,8 @@ _PER_CELL_CHARS = '"\r\0'
 
 def _load_csv(fh):
     lines = fh.readlines()
+    if lines and lines[0].startswith("\ufeff"):  # a leading byte-order mark, whatever the source
+        lines[0] = lines[0][1:]
     (header, methods, calc_u), kept_ids, body_values = _bulk_rows(lines) or _per_cell_rows(lines)
 
     if len(kept_ids) < 2:

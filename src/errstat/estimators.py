@@ -9,9 +9,9 @@ RMSD here is the sample standard deviation of the errors about their own
 mean (denominator N-1), not the root mean squared error about zero.
 
 `_Resampled` is the bootstrap's one kernel: the table commands (through
-`inference.replicate_stats`) and the type-I study bind it, and it keeps
-its scratch arrays across index blocks.  Other samples go through
-`evaluate_rows`.  Both select order statistics by `_order_stats`.
+`inference.replicate_stats`), the type-I study and hdstudy's mode B bind
+it, and it keeps its scratch arrays across index blocks.  Other samples
+go through `evaluate_rows`.  Both select order statistics by `_order_stats`.
 """
 
 from dataclasses import dataclass

@@ -28,11 +28,6 @@ _DARK = (8, 48, 107)
 _WHITE = (255, 255, 255)
 
 
-def _check_size(size_px):
-    if size_px < 200:
-        raise ValueError("size must be at least 200 px")
-
-
 def _mix(c0, c1, t):
     t = min(1.0, max(0.0, t))
     return "#%02x%02x%02x" % tuple(round(a + (b - a) * t) for a, b in zip(c0, c1))
@@ -49,17 +44,22 @@ def _sip_color(v):
     return _mix(_WHITE, _RED, (v - 0.5) / 0.5)
 
 
-def _svg_root(width, height):
-    return ET.Element(
+def _canvas(size_px, height):
+    """An SVG root size_px wide and `height` tall on a white background."""
+    if size_px < 200:
+        raise ValueError("size must be at least 200 px")
+    root = ET.Element(
         "svg",
         {
             "xmlns": "http://www.w3.org/2000/svg",
             "version": "1.1",
-            "width": str(width),
+            "width": str(size_px),
             "height": str(height),
-            "viewBox": f"0 0 {width} {height}",
+            "viewBox": f"0 0 {size_px} {height}",
         },
     )
+    ET.SubElement(root, "rect", {"x": "0", "y": "0", "width": str(size_px), "height": str(height), "fill": "white"})
+    return root
 
 
 def _text(parent, x, y, s, size=12, anchor="middle", transform=None, fill="#333333"):
@@ -104,7 +104,7 @@ def render_matrix(values, labels, kind, size_px=600):
     Rows are drawn in the order given; for SIP matrices the caller passes
     values and labels already sorted by decreasing MSIP.
     """
-    _check_size(size_px)
+    root = _canvas(size_px, size_px)
     v = _validate_matrix(values, kind)
     k = v.shape[0]
     labels = [str(s) for s in labels]
@@ -112,9 +112,6 @@ def render_matrix(values, labels, kind, size_px=600):
         raise ValueError("label count does not match matrix size")
     margin = max(80, size_px // 6)
     cell = (size_px - margin) / k
-    total = size_px
-    root = _svg_root(total, total)
-    ET.SubElement(root, "rect", {"x": "0", "y": "0", "width": str(total), "height": str(total), "fill": "white"})
 
     for i, label in enumerate(labels):
         y = margin + (i + 0.5) * cell
@@ -174,23 +171,26 @@ def _fmt(x):
     return "n/a" if x is None else f"{x:.3g}"
 
 
-def _axes(root, box, xlim, ylim, xticks, yticks):
-    x0, y0, x1, y1 = box
+def _ecdf_axes(size_px, xlim, xticks):
+    """A 4:3 canvas with the framed plot box, x ticks and 0 / 0.5 / 1 y ticks: (root, box, sx, sy)."""
+    h = int(size_px * 0.75)
+    root = _canvas(size_px, h)
+    box = x0, y0, x1, y1 = (60, 40, size_px - 20, h - 40)
 
     def sx(x):
         return x0 + (x - xlim[0]) / (xlim[1] - xlim[0]) * (x1 - x0)
 
     def sy(y):
-        return y1 - (y - ylim[0]) / (ylim[1] - ylim[0]) * (y1 - y0)
+        return y1 - y * (y1 - y0)
 
     ET.SubElement(root, "rect", {"x": f"{x0:.2f}", "y": f"{y0:.2f}",
                                  "width": f"{x1 - x0:.2f}", "height": f"{y1 - y0:.2f}",
                                  "fill": "none", "stroke": "#333333", "stroke-width": "1"})
     for t in xticks:
         _text(root, sx(t), y1 + 16, f"{t:.3g}", size=10)
-    for t in yticks:
+    for t in (0, 0.5, 1):
         _text(root, x0 - 6, sy(t) + 3, f"{t:.3g}", size=10, anchor="end")
-    return sx, sy
+    return root, box, sx, sy
 
 
 def _step_points(xs, ys):
@@ -215,17 +215,11 @@ def _polyline(parent, xs, ys, stroke, width="1.5", dash=None, fill="none", cls=N
 
 def render_delta_ecdf(report, size_px=600):
     """ECDF of the absolute-error differences with band and annotations."""
-    _check_size(size_px)
-    w = size_px
-    h = int(size_px * 0.75)
-    root = _svg_root(w, h)
-    ET.SubElement(root, "rect", {"x": "0", "y": "0", "width": str(w), "height": str(h), "fill": "white"})
     deltas = np.asarray(report.deltas)
     span = deltas.max() - deltas.min()
     pad = 0.05 * span if span > 0 else 1.0
     xlim = (deltas.min() - pad, deltas.max() + pad)
-    box = (60, 40, w - 20, h - 40)
-    sx, sy = _axes(root, box, xlim, (0, 1), xticks=(xlim[0], 0.0, xlim[1]), yticks=(0, 0.5, 1))
+    root, box, sx, sy = _ecdf_axes(size_px, xlim, xticks=(xlim[0], 0.0, xlim[1]))
 
     band_x = np.concatenate((deltas, deltas[::-1]))
     band_y = np.concatenate((report.band_hi, report.band_lo[::-1]))
@@ -239,16 +233,13 @@ def render_delta_ecdf(report, size_px=600):
             if xlim[0] < u < xlim[1]:
                 _polyline(root, [sx(u)] * 2, [sy(0), sy(1)], stroke="#ed7d31", width="3", cls="ubar")
 
-    lines = [
-        f"{report.labels[0]} vs {report.labels[1]}",
-        f"SIP = {_fmt(report.sip.value)} [{_fmt(report.sip.lo)}, {_fmt(report.sip.hi)}]",
-        f"MG = {_fmt(report.mg.value)} [{_fmt(report.mg.lo)}, {_fmt(report.mg.hi)}]",
-        f"ML = {_fmt(report.ml.value)} [{_fmt(report.ml.lo)}, {_fmt(report.ml.hi)}]",
-        f"dMUE = {_fmt(report.delta_mue.value)} [{_fmt(report.delta_mue.lo)}, {_fmt(report.delta_mue.hi)}]",
+    lines = [f"{report.labels[0]} vs {report.labels[1]}"] + [
+        f"{name} = {_fmt(c.value)} [{_fmt(c.lo)}, {_fmt(c.hi)}]"
+        for name, c in (("SIP", report.sip), ("MG", report.mg), ("ML", report.ml), ("dMUE", report.delta_mue))
     ]
     for i, line in enumerate(lines):
         _text(root, 70, 58 + 15 * i, line, size=11, anchor="start")
-    _text(root, (box[0] + box[2]) / 2, h - 8, "difference of absolute errors", size=11)
+    _text(root, (box[0] + box[2]) / 2, box[3] + 32, "difference of absolute errors", size=11)
     return ET.tostring(root, encoding="unicode")
 
 
@@ -258,17 +249,11 @@ def render_abs_ecdf(e1, e2, labels, size_px=600, stats=None):
     `stats` is an optional mapping label -> (mue, q95) to draw the
     vertical markers.
     """
-    _check_size(size_px)
     a1 = np.sort(np.abs(np.asarray(e1, dtype=float)))
     a2 = np.sort(np.abs(np.asarray(e2, dtype=float)))
-    w = size_px
-    h = int(size_px * 0.75)
-    root = _svg_root(w, h)
-    ET.SubElement(root, "rect", {"x": "0", "y": "0", "width": str(w), "height": str(h), "fill": "white"})
     hi = max(a1.max(), a2.max())
     xlim = (0.0, hi * 1.05 if hi > 0 else 1.0)
-    box = (60, 40, w - 20, h - 40)
-    sx, sy = _axes(root, box, xlim, (0, 1), xticks=(0.0, xlim[1]), yticks=(0, 0.5, 1))
+    root, box, sx, sy = _ecdf_axes(size_px, xlim, xticks=(0.0, xlim[1]))
     colors = ("#1f4e79", "#c55a11")
     for arr, color, label, k in ((a1, colors[0], labels[0], 0), (a2, colors[1], labels[1], 1)):
         x, y = _step_points(arr, np.arange(1, arr.size + 1) / arr.size)
@@ -278,5 +263,5 @@ def render_abs_ecdf(e1, e2, labels, size_px=600, stats=None):
             mue, q95 = stats[label]
             _polyline(root, [sx(mue)] * 2, [sy(0), sy(1)], stroke=color, width="1", dash="2,3")
             _polyline(root, [sx(q95)] * 2, [sy(0), sy(1)], stroke=color, width="1", dash="7,3")
-    _text(root, (box[0] + box[2]) / 2, h - 8, "absolute error", size=11)
+    _text(root, (box[0] + box[2]) / 2, box[3] + 32, "absolute error", size=11)
     return ET.tostring(root, encoding="unicode")

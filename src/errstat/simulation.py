@@ -339,10 +339,9 @@ def hd_convergence_study(config, modes=("A", "B")):
             raise ValueError(f"mode B subsets cannot exceed the base sample size {_HD_BASE_N}")
         base = gh_sample(scen, _HD_BASE_N, _cell_rng(config.seed, 3))
         for ni, n in enumerate(config.n_values):
-            rng = _cell_rng(config.seed, 4, ni)
-            subsets = base[:n][rng.integers(0, n, size=(config.reps, n))]
-            for kind, name in ((hd, "hd"), (q7, "type7")):
-                rows.append(("B", n, name, *_spread(evaluate_rows(kind, subsets))))
+            idx = _cell_rng(config.seed, 4, ni).integers(0, n, size=(config.reps, n))
+            for kind, name in ((hd, "hd"), (q7, "type7")):  # quantiles leave idx as drawn
+                rows.append(("B", n, name, *_spread(_Resampled(kind).bind(base[:n, None])(idx)[:, 0])))
     return StudyResult(
         study="hdstudy",
         columns=("mode", "n", "estimator", "q05", "q25", "q50", "q75", "q95", "n_distinct"),

@@ -224,6 +224,25 @@ def test_bad_flag_value_exits_2_naming_the_flag_before_any_work(data, tmp_path, 
     assert not out.exists() and not json_out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sip", "--ecdf", "@out"], "--ecdf needs --pair"),
+        (["sip", "--abs-ecdf", "@out"], "--abs-ecdf needs --pair"),
+        (["sip", "--ubar", "0.3", "--csv", "@out"], "--ubar needs --pair"),
+        (["sip", "--pair", "M1,M2", "--svg", "@out"], "--svg draws the SIP matrix and does not apply with --pair"),
+    ],
+)
+def test_sip_flag_of_the_other_mode_exits_2_naming_the_flag(data, tmp_path, capsys, argv, message):
+    out, json_out = tmp_path / "figure.svg", tmp_path / "report.json"
+    flags = [str(out) if a == "@out" else a for a in argv[1:]]
+    assert run([argv[0], data, "--boot", "100", "--json", str(json_out), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists() and not json_out.exists()
+
+
 def test_figure_size_sets_the_svg_width_and_height(data, tmp_path):
     out = tmp_path / "rank.svg"
     assert run(["rank", data, "--boot", "100", "--svg", str(out), "--size", "300"]) == 0

@@ -69,7 +69,9 @@ def test_utf8_bom_is_skipped(tmp_path):
     bom = b"\xef\xbb\xbf" + BASIC.encode()
     path = tmp_path / "bom.csv"
     path.write_bytes(bom)
-    for source in (str(path), bom, io.BytesIO(bom)):
+    text = bom.decode()
+    for source in (str(path), bom, io.BytesIO(bom), text, io.StringIO(text),
+                   io.TextIOWrapper(io.BytesIO(bom), encoding="utf-8")):
         table = load_table(source)
         assert table.system_ids == ["a", "b", "c"]
         assert table.method_names == ["M1"]

@@ -20,12 +20,14 @@ K = 30, seed 7), on tests/data/golden.csv, on that table times 2**990
 smallest normal float, and on a table whose M02 is twice M01, so that
 `sip --pair` meets a pair without losses, one without gains and ties only
 at zero; golden.csv's M01 against itself ties everywhere.
-Three variants of the N = 100 table cover both of the loader's paths:
-quoted ids, CRLF line ends, and a blank line, a comment line and a row
-with an empty cell, which is dropped with a warning.  It also holds the
-non-finite flag values, the overflowing g-and-h sample, a second `hdstudy`
-scenario and requests too large for memory, all of which must exit 2, and
-`simulate corrtransfer` over all four g-and-h scenarios.
+Four variants of the N = 100 table cover both of the loader's paths:
+quoted ids, CRLF line ends, a blank line, a comment line and a row with
+an empty cell, which is dropped with a warning, and a leading UTF-8
+byte-order mark.  It also holds the non-finite flag values, the
+overflowing g-and-h sample, a second `hdstudy` scenario, requests too
+large for memory and a `sip` flag of the other mode (`--ecdf` without
+`--pair`, `--svg` with it), all of which must exit 2, and `simulate
+corrtransfer` over all four g-and-h scenarios.
 
 Every difference in exit code, stdout, stderr or a written file is
 printed, the text ones as a unified diff; the exit status is 1 if
@@ -46,7 +48,7 @@ from bench_pairs import checkout_parent, copy_working_tree, git  # noqa: E402
 
 TABLE_SIZES = (6, 37, 100, 5000)
 WIDE = (300, 30)  # N and K of the wide table
-LOADER_VARIANTS = ("quoted", "crlf", "gaps")  # of the N = 100 table
+LOADER_VARIANTS = ("quoted", "crlf", "gaps", "bom")  # of the N = 100 table
 EDGE_BOOT = {"n5000": "837", "n100": "10486"}  # blocks of 209 and 10,485 replicates, then one more
 SEED = ["--seed", "17"]
 WORKERS = 2  # the two sides of one invocation run side by side
@@ -78,6 +80,7 @@ def write_tables(tree, dest):
     (dest / "crlf.csv").write_bytes(("\r\n".join(lines) + "\r\n").encode())
     gaps = [lines[0], "", "# a comment line", *lines[1:5], lines[5].rsplit(",", 1)[0] + ",", *lines[6:]]
     (dest / "gaps.csv").write_text("\n".join(gaps) + "\n")
+    (dest / "bom.csv").write_text("\ufeff" + "\n".join(lines) + "\n", encoding="utf-8")
     return {p.stem: p for p in sorted(dest.glob("*.csv"))}
 
 
@@ -158,6 +161,8 @@ def invocations(tables):
         files=("json", "ecdf"))
     add("golden/sip-pair/too-large", "sip", golden, "--pair", "M01,M02", "--boot", huge, *SEED, files=("json",))
     add("golden/sip-pair/self", "sip", golden, "--pair", "M01,M01", *SEED, files=("json", "csv", "ecdf"))
+    add("golden/sip/ecdf-without-pair", "sip", golden, files=("ecdf",))
+    add("golden/sip-pair/svg", "sip", golden, "--pair", "M01,M03", *SEED, files=("json", "svg"))
     for pair in ("M01,M02", "M02,M01"):  # no loss, then no gain; ties only at zero
         add(f"doubled/sip-pair/{pair}", "sip", str(tables["doubled"]), "--pair", pair, *SEED,
             files=("json", "csv", "ecdf"))
