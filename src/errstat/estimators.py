@@ -249,6 +249,14 @@ class _Resampled:
         return out
 
 
+def _quantile_rows(kinds, column, idx):
+    """Each quantile kind's values of one column on the index block idx, left as drawn; the column is ranked once."""
+    resampled = _Resampled(kinds[0]).bind(column[:, None])
+    for kind in kinds:
+        resampled.kind = kind  # the bound ranks serve every level and method
+        yield resampled(idx)[:, 0]
+
+
 # 16-point Gauss-Legendre rule on [-1, 1], bit for bit leggauss(16) of
 # numpy.polynomial, whose import would cost more than the weights: the
 # positive nodes and their weights, mirrored at 0.

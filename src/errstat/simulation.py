@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import StatKind, _Resampled, evaluate_rows, percentile
+from .estimators import StatKind, _quantile_rows, _Resampled, evaluate_rows, percentile
 from .correlation import pearson
 from .inference import _MASK64, generalized_p
 
@@ -340,8 +340,8 @@ def hd_convergence_study(config, modes=("A", "B")):
         base = gh_sample(scen, _HD_BASE_N, _cell_rng(config.seed, 3))
         for ni, n in enumerate(config.n_values):
             idx = _cell_rng(config.seed, 4, ni).integers(0, n, size=(config.reps, n))
-            for kind, name in ((hd, "hd"), (q7, "type7")):  # quantiles leave idx as drawn
-                rows.append(("B", n, name, *_spread(_Resampled(kind).bind(base[:n, None])(idx)[:, 0])))
+            for name, values in zip(("hd", "type7"), _quantile_rows((hd, q7), base[:n], idx)):
+                rows.append(("B", n, name, *_spread(values)))
     return StudyResult(
         study="hdstudy",
         columns=("mode", "n", "estimator", "q05", "q25", "q50", "q75", "q95", "n_distinct"),

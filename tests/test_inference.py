@@ -105,13 +105,13 @@ def test_paired_resample_single_row():
 
 def test_one_index_draw_shared_by_all_columns(monkeypatch):
     calls = []
-    original = inf.resample_indices
+    original = inf._keyed  # keys replicate j's generator for the block draw and resample_indices alike
 
-    def spy(plan, j, n):
+    def spy(plan, j):
         calls.append(j)
-        return original(plan, j, n)
+        return original(plan, j)
 
-    monkeypatch.setattr(inf, "resample_indices", spy)
+    monkeypatch.setattr(inf, "_keyed", spy)
     replicate_stats(np.random.default_rng(0).normal(size=(12, 4)), MUE, BootstrapPlan(B=150, seed=3))
     assert len(calls) == 150  # one draw per replicate, not per column
     assert sorted(calls) == list(range(150))

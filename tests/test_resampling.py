@@ -3,7 +3,8 @@
 Every replicate value must equal the statistic of the gathered resample
 `column[resample_indices(plan, j, n)]` (exactly for order statistics and
 counts, to 1e-12 for sums), and must not depend on B, the block size,
-the other columns evaluated with it or the BLAS thread count.
+the other columns evaluated with it or the BLAS thread count.  Every row
+of a replicate block must be the draw of a fresh Philox generator.
 """
 
 import os
@@ -260,9 +261,9 @@ def test_percentile_band_equals_numpy_percentile(b):
             np.testing.assert_array_equal(np.array(got).view(np.uint64), want.view(np.uint64))
 
 
-def _fresh_philox_draw(seed, j, n):
+def _fresh_philox_draw(seed, j, n, size=None):
     key = ((seed & (2**64 - 1)) << 64) | (j & (2**64 - 1))
-    return np.random.Generator(np.random.Philox(key=key)).integers(0, n, size=n)
+    return np.random.Generator(np.random.Philox(key=key)).integers(0, n, size=n if size is None else size)
 
 
 def test_resample_indices_equals_a_fresh_philox_generator():
@@ -302,6 +303,89 @@ def test_resample_indices_threads_each_keep_their_own_stream():
         assert len(got[t]) == 200
         for j, idx in enumerate(got[t]):
             np.testing.assert_array_equal(idx, _fresh_philox_draw(plan.seed, j, n))
+
+
+def _drawn(plan, n):
+    return np.concatenate([idx for _, idx in inf.replicate_blocks(plan, n)])
+
+
+@pytest.mark.parametrize("n", [2, 3, 30, 100, 1000, 5000, 2**16 + 1])
+def test_block_rows_equal_resample_indices_and_a_fresh_generator(n, monkeypatch):
+    # The block draw maps raw Philox words itself; every row must still be
+    # numpy's bounded draw, for an even and an odd n' and across blocks.
+    default = inf.BLOCK_CELLS
+    for n_prime in sorted({n, n // 2 | 1} - {1}):
+        for seed in (0, 42, 2**70 + 3):
+            plans = []
+            for cells in (1, 7 * n, default):
+                rows = max(1, cells // n)
+                b = -(-99 // rows) * rows + 1  # the first B >= 100 whose last block holds one row
+                if b > 3000:  # default blocks of n < 100 hold thousands of rows: one partial block
+                    b = 100
+                plans.append((cells, BootstrapPlan(B=b, seed=seed, n_prime=None if n_prime == n else n_prime)))
+            longest = max((plan for _, plan in plans), key=lambda plan: plan.B)
+            want = np.array([_fresh_philox_draw(seed, j, n, n_prime) for j in range(longest.B)])
+            np.testing.assert_array_equal([resample_indices(longest, j, n) for j in range(longest.B)], want)
+            for cells, plan in plans:
+                monkeypatch.setattr(inf, "BLOCK_CELLS", cells)
+                got = _drawn(plan, n)
+                assert got.dtype == np.intp
+                np.testing.assert_array_equal(got, want[: plan.B])
+
+
+def test_block_draw_redraws_rows_with_a_rejected_word(monkeypatch):
+    # At N = 5000 numpy rejects a word whose x * n has a low word below
+    # 2**32 mod 5000 = 2296; seed 4 hits one in replicate 42's 5000 draws.
+    calls = []
+    original = inf.resample_indices
+
+    def spy(plan, j, n):
+        calls.append(j)
+        return original(plan, j, n)
+
+    monkeypatch.setattr(inf, "resample_indices", spy)
+    plan = BootstrapPlan(B=100, seed=4)
+    got = _drawn(plan, 5000)
+    assert calls == [42]
+    for j in (0, 41, 42, 43, 99):
+        np.testing.assert_array_equal(got[j], _fresh_philox_draw(4, j, 5000))
+
+
+def test_block_draw_of_an_empty_table():
+    with pytest.raises(ValueError, match="exceeds dataset size"):
+        _drawn(BootstrapPlan(B=100, n_prime=2), 0)
+    assert _drawn(BootstrapPlan(B=100), 0).shape == (100, 0)
+
+
+def test_replicate_blocks_threads_each_keep_their_own_stream(monkeypatch):
+    monkeypatch.setattr(inf, "BLOCK_CELLS", 8 * 5000)  # blocks of 8 rows at n = 5000, one block at n = 5
+    jobs = {0: (BootstrapPlan(B=200, seed=42), 5000), 1: (BootstrapPlan(B=200, seed=2**70 + 3, n_prime=3), 5)}
+    want = {t: np.array([_fresh_philox_draw(plan.seed, j, n, plan.resample_size(n)) for j in range(plan.B)])
+            for t, (plan, n) in jobs.items()}
+    got = {t: [] for t in jobs}
+    turn = threading.Barrier(2, timeout=30)
+
+    def draw(t):
+        plan, n = jobs[t]
+        for _ in range(10):
+            turn.wait()  # both threads draw their blocks at the same time
+            got[t].append(_drawn(plan, n))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw, args=(t,)) for t in jobs]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for t in jobs:
+        assert len(got[t]) == 10
+        for drawn in got[t]:
+            np.testing.assert_array_equal(drawn, want[t])
 
 
 def test_reused_evaluator_equals_a_fresh_one():

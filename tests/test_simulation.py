@@ -281,14 +281,17 @@ def test_hd_study_mode_b_equals_the_resampling_kernel(planted, monkeypatch):
         x = real(params, size, rng)
         return np.where(np.arange(size) % 3 == 0, -0.0, np.round(x, 1)) if planted else x
 
-    spread, seen = simulation._spread, []
+    spread, seen, bind, bound = simulation._spread, [], _Resampled.bind, []
     monkeypatch.setattr(simulation, "gh_sample", base)
     monkeypatch.setattr(simulation, "_spread", lambda est: seen.append(est.copy()) or spread(est))
+    monkeypatch.setattr(_Resampled, "bind", lambda self, cols: bound.append(len(cols)) or bind(self, cols))
     for scen in SCENARIOS.values():
         config = StudyConfig(n_values=(10, 37, 500), reps=100, seed=6, gh_scenarios=(scen,),
                              statistic=StatKind.quantile(0.9))
         seen.clear()
+        bound.clear()
         hd_convergence_study(config, modes=("B",))
+        assert bound == [10, 37, 500]  # each subset is ranked once for both estimators
         sample = base(scen, simulation._HD_BASE_N, _cell_rng(config.seed, 3))
         want = []
         for ni, n in enumerate(config.n_values):

@@ -13,13 +13,15 @@ argv on both sides.  The set covers every subcommand, statistic and
 quantile method, `--nprime`, `--orientation higher` and `sip --pair` at
 B = 1000 and B = 257, on the perfbench tables with N = 6, 37, 100 and 5000
 (perfbench/gen.py of the working tree, K = 10, seed 7), `stats`, `rank
---nprime` and `sip --pair` at a B whose last replicate block holds one row
-on N = 100 and 5000, the four `corr` variants on a wide table (N = 300,
-K = 30, seed 7), on tests/data/golden.csv, on that table times 2**990
-(errors up to 2.1e298), on a table of errors near 3e-310, below the
-smallest normal float, and on a table whose M02 is twice M01, so that
-`sip --pair` meets a pair without losses, one without gains and ties only
-at zero; golden.csv's M01 against itself ties everywhere.
+--nprime` and `sip --pair` on N = 100 and 5000 at the B values whose last
+replicate block holds one row, under blocks of 2**20 index cells (B = 10486
+and 837) and of 2**17 (B = 2621 and 1041), the four `corr` variants on a
+wide table (N = 300, K = 30, seed 7), on tests/data/golden.csv, on that
+table times 2**990 (errors up to 2.1e298), on a table of errors near
+3e-310, below the smallest normal float, and on a table whose M02 is
+twice M01, so that `sip --pair` meets a pair without losses, one without
+gains and ties only at zero; golden.csv's M01 against itself ties
+everywhere.
 Four variants of the N = 100 table cover both of the loader's paths:
 quoted ids, CRLF line ends, a blank line, a comment line and a row with
 an empty cell, which is dropped with a warning, and a leading UTF-8
@@ -49,7 +51,9 @@ from bench_pairs import checkout_parent, copy_working_tree, git  # noqa: E402
 TABLE_SIZES = (6, 37, 100, 5000)
 WIDE = (300, 30)  # N and K of the wide table
 LOADER_VARIANTS = ("quoted", "crlf", "gaps", "bom")  # of the N = 100 table
-EDGE_BOOT = {"n5000": "837", "n100": "10486"}  # blocks of 209 and 10,485 replicates, then one more
+# B whose last replicate block holds one row: after blocks of 209 and 10,485 replicates (2**20 cells),
+# and after blocks of 26 and 1,310 (2**17 cells).
+EDGE_BOOT = {"n5000": ("837", "1041"), "n100": ("10486", "2621")}
 SEED = ["--seed", "17"]
 WORKERS = 2  # the two sides of one invocation run side by side
 RUN_TIMEOUT_S = 300
@@ -117,7 +121,7 @@ def invocations(tables):
             files=("json", "csv"))
         add(f"{t}/rank/mse-nprime", "rank", table, "--stat", "mse", "--nprime", nprime, *SEED, files=("json",))
         add(f"{t}/compare/unknown-method", "compare", table, "--pair", "M01,NOPE")
-    for t, boot in EDGE_BOOT.items():  # B whose last replicate block holds one row
+    for t, boot in ((t, boot) for t, boots in EDGE_BOOT.items() for boot in boots):
         table = str(tables[t])
         add(f"{t}/stats/mue-B{boot}", "stats", table, "--stat", "mue", "--boot", boot, *SEED, files=("json",))
         add(f"{t}/rank/mse-nprime-B{boot}", "rank", table, "--stat", "mse", "--nprime", "20", "--boot", boot,
