@@ -213,12 +213,14 @@ def delta_ecdf(e1, e2, plan, labels=("M1", "M2"), system_ids=None, uncertainty_b
     ecdf = ends / n
 
     # Every replicate is a count row in sorted-delta order.  Its contraction
-    # with these terms gives the sums of strict gains, of strict losses and
-    # of all deltas; then its running total, taken in place, read at a tie
-    # group's end is how many resampled deltas lie at or below it.
+    # with these terms gives the numbers of strict gains and strict losses
+    # and the sums of strict gains, of strict losses and of all deltas; then
+    # its running total, taken in place, read at a tie group's end is how
+    # many resampled deltas lie at or below it.
     position = np.empty(n, dtype=np.intp)
     position[order] = np.arange(n)
-    terms = np.array([np.minimum(sorted_deltas, 0.0), np.maximum(sorted_deltas, 0.0), sorted_deltas])
+    terms = np.array([sorted_deltas < 0, sorted_deltas > 0, np.minimum(sorted_deltas, 0.0),
+                      np.maximum(sorted_deltas, 0.0), sorted_deltas], dtype=float)
     n_prime = plan.resample_size(n)
     # At least 16 bits: uint8 rows partition several times slower.
     below = np.empty((n, plan.B), dtype=np.promote_types(np.min_scalar_type(n_prime), np.uint16))
@@ -230,13 +232,9 @@ def delta_ecdf(e1, e2, plan, labels=("M1", "M2"), system_ids=None, uncertainty_b
         block = _count(np.take(position, idx, out=idx, mode="clip"), counts[: idx.shape[0]])
         sums[lo : lo + idx.shape[0]] = weighted_sums(block, terms)
         below[:, lo : lo + idx.shape[0]] = np.cumsum(block, axis=1, out=block)[:, ends - 1].T
-    # Read before the band reorders below: the totals at the last negative and the last non-positive delta.
-    negative, non_positive = (np.searchsorted(sorted_deltas, 0.0, side) for side in ("left", "right"))
-    n_gain = below[negative - 1].astype(float) if negative else np.zeros(plan.B)
-    n_loss = n_prime - (below[non_positive - 1].astype(float) if non_positive else np.zeros(plan.B))
     band_lo, band_hi = _percentile_band(below, n_prime)
 
-    gain_sum, loss_sum, delta_sum = sums.T
+    n_gain, n_loss, gain_sum, loss_sum, delta_sum = sums.T
     has_gain, has_loss = n_gain > 0, n_loss > 0  # the replicates where MG (ML) is defined
     gains, losses, mg_val, ml_val = _scores(deltas)
     ordered_ids = None

@@ -105,11 +105,11 @@ def test_paired_resample_single_row():
 
 def test_one_index_draw_shared_by_all_columns(monkeypatch):
     calls = []
-    original = inf._keyed  # keys replicate j's generator for the block draw and resample_indices alike
+    original = inf._keyed  # keys replicate j's generator for its raw words and numpy's draw alike
 
-    def spy(plan, j):
+    def spy(gen, plan, j):
         calls.append(j)
-        return original(plan, j)
+        return original(gen, plan, j)
 
     monkeypatch.setattr(inf, "_keyed", spy)
     replicate_stats(np.random.default_rng(0).normal(size=(12, 4)), MUE, BootstrapPlan(B=150, seed=3))

@@ -333,22 +333,52 @@ def test_block_rows_equal_resample_indices_and_a_fresh_generator(n, monkeypatch)
                 np.testing.assert_array_equal(got, want[: plan.B])
 
 
+def _keyings(monkeypatch):
+    """Spy on inference._keyed: each keying's (j, use), where the use is how
+    the keyed generator was read, "bit_generator" for raw words or
+    "integers" for numpy's draw."""
+    calls = []
+    original = inf._keyed
+
+    class Watched:
+        def __init__(self, gen, j):
+            self.gen, self.j = gen, j
+
+        def __getattr__(self, name):
+            calls.append((self.j, name))
+            return getattr(self.gen, name)
+
+    monkeypatch.setattr(inf, "_keyed", lambda gen, plan, j: Watched(original(gen, plan, j), j))
+    return calls
+
+
 def test_block_draw_redraws_rows_with_a_rejected_word(monkeypatch):
     # At N = 5000 numpy rejects a word whose x * n has a low word below
     # 2**32 mod 5000 = 2296; seed 4 hits one in replicate 42's 5000 draws.
-    calls = []
-    original = inf.resample_indices
-
-    def spy(plan, j, n):
-        calls.append(j)
-        return original(plan, j, n)
-
-    monkeypatch.setattr(inf, "resample_indices", spy)
+    calls = _keyings(monkeypatch)
     plan = BootstrapPlan(B=100, seed=4)
     got = _drawn(plan, 5000)
-    assert calls == [42]
+    assert sorted(calls) == sorted([(j, "bit_generator") for j in range(100)] + [(42, "integers")])
     for j in (0, 41, 42, 43, 99):
         np.testing.assert_array_equal(got[j], _fresh_philox_draw(4, j, 5000))
+
+
+@pytest.mark.parametrize("n, mapped", [(32276, True), (100_003, False)])
+def test_table_size_alone_chooses_the_raw_word_map(n, mapped, monkeypatch):
+    # A row of n' draws expects lambda = n' * (2**32 mod n) / 2**32 rejected
+    # words: 0.242 at n = n' = 32276, where the block maps raw words, and
+    # 0.895 at n = n' = 100003 (0.448 at n' = 50001), where numpy draws
+    # every row.  Either way every row is numpy's draw.
+    for n_prime in (n, n // 2 | 1):
+        for seed in (0, 2**70 + 3):
+            calls = _keyings(monkeypatch)
+            plan = BootstrapPlan(B=100, seed=seed, n_prime=None if n_prime == n else n_prime)
+            got = _drawn(plan, n)
+            np.testing.assert_array_equal(got, [_fresh_philox_draw(seed, j, n, n_prime) for j in range(plan.B)])
+            if mapped:
+                assert sorted(j for j, use in calls if use == "bit_generator") == list(range(plan.B))
+            else:
+                assert calls == [(j, "integers") for j in range(plan.B)]
 
 
 def test_block_draw_of_an_empty_table():

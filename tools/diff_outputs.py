@@ -16,12 +16,14 @@ B = 1000 and B = 257, on the perfbench tables with N = 6, 37, 100 and 5000
 --nprime` and `sip --pair` on N = 100 and 5000 at the B values whose last
 replicate block holds one row, under blocks of 2**20 index cells (B = 10486
 and 837) and of 2**17 (B = 2621 and 1041), the four `corr` variants on a
-wide table (N = 300, K = 30, seed 7), on tests/data/golden.csv, on that
-table times 2**990 (errors up to 2.1e298), on a table of errors near
-3e-310, below the smallest normal float, and on a table whose M02 is
-twice M01, so that `sip --pair` meets a pair without losses, one without
-gains and ties only at zero; golden.csv's M01 against itself ties
-everywhere.
+wide table (N = 300, K = 30, seed 7), `stats`, `compare` and `sip --pair`
+at B = 100 on a long table (N = 100,000, K = 3, seed 7), whose rows expect
+1.6 rejected words each, so that numpy draws every one, on
+tests/data/golden.csv, on that table times 2**990 (errors up to 2.1e298),
+on a table of errors near 3e-310, below the smallest normal float, and on
+a table whose M02 is twice M01, so that `sip --pair` meets a pair without
+losses, one without gains and ties only at zero; golden.csv's M01 against
+itself ties everywhere.
 Four variants of the N = 100 table cover both of the loader's paths:
 quoted ids, CRLF line ends, a blank line, a comment line and a row with
 an empty cell, which is dropped with a warning, and a leading UTF-8
@@ -50,6 +52,7 @@ from bench_pairs import checkout_parent, copy_working_tree, git  # noqa: E402
 
 TABLE_SIZES = (6, 37, 100, 5000)
 WIDE = (300, 30)  # N and K of the wide table
+LONG = (100_000, 3)  # N and K of a table that the engine draws row by row through numpy
 LOADER_VARIANTS = ("quoted", "crlf", "gaps", "bom")  # of the N = 100 table
 # B whose last replicate block holds one row: after blocks of 209 and 10,485 replicates (2**20 cells),
 # and after blocks of 26 and 1,310 (2**17 cells).
@@ -64,7 +67,8 @@ def write_tables(tree, dest):
     gen = ("import sys; sys.path.insert(0, 'perfbench'); import gen\n"
            f"for n in {TABLE_SIZES!r}:\n"
            f"    gen.write_table(f'{dest}/n{{n}}.csv', *gen.make_table(n, 10, 7))\n"
-           f"gen.write_table('{dest}/wide.csv', *gen.make_table({WIDE[0]}, {WIDE[1]}, 7))\n")
+           f"gen.write_table('{dest}/wide.csv', *gen.make_table({WIDE[0]}, {WIDE[1]}, 7))\n"
+           f"gen.write_table('{dest}/long.csv', *gen.make_table({LONG[0]}, {LONG[1]}, 7))\n")
     subprocess.run([sys.executable, "-c", gen], cwd=tree, check=True)
     shutil.copy(tree / "tests" / "data" / "golden.csv", dest / "golden.csv")
     # Every number of golden.csv times 2**990, which is exact: cells up to 4e299, errors up to 2.1e298.
@@ -96,7 +100,7 @@ def invocations(tables):
         out.append((name, [*argv, *(a for ext in files for a in (f"--{ext}", f"out.{ext}"))]))
 
     for t, path in tables.items():
-        if t in ("subnormal", "scaled", "wide", "doubled", *LOADER_VARIANTS):
+        if t in ("subnormal", "scaled", "wide", "long", "doubled", *LOADER_VARIANTS):
             continue
         table = str(path)
         nprime = "4" if t == "n6" else "20"
@@ -136,6 +140,11 @@ def invocations(tables):
     for corr in ([], ["--pearson"], ["--on", "values"], ["--pearson", "--on", "values"]):
         add(f"wide/corr/{'-'.join(corr) or 'spearman'}", "corr", str(tables["wide"]), *corr,
             files=("json", "csv", "svg"))
+    long = str(tables["long"])
+    add("long/stats/mue", "stats", long, "--stat", "mue", "--boot", "100", *SEED, files=("json",))
+    add("long/compare/q95", "compare", long, "--pair", "M01,M02", "--stat", "q95", "--boot", "100", *SEED,
+        files=("json",))
+    add("long/sip-pair", "sip", long, "--pair", "M01,M02", "--boot", "100", *SEED, files=("json",))
     sim = ["--reps", "100", "--boot", "100", *SEED]
     add("simulate/gh", "simulate", "gh", "--g", "0.2", "--h", "0.1", "--n", "50", *SEED, files=("json", "csv"))
     add("simulate/type1-mue", "simulate", "type1", "--stat", "mue", "--n", "20", "--rho", "0.5", *sim,
