@@ -135,7 +135,7 @@ def _parse_header(fields):
     if "Ref" not in names:
         raise ValidationError("malformed header: missing 'Ref' column")
     if len(set(names)) != len(names):
-        raise ValidationError("malformed header: duplicate column name")
+        raise ValidationError(f"malformed header: duplicate column name {max(names, key=names.count)!r}")
     methods = [n for n in names[1:] if n not in ("Ref", "uRef") and not n.startswith("u:")]
     if not methods:
         raise ValidationError("malformed header: no method columns")

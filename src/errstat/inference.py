@@ -9,9 +9,9 @@ bit-identical whatever B, the block size, the set of columns evaluated
 together or the BLAS thread count.
 
 Blocks of about BLOCK_CELLS index cells (1 MB) are drawn by one generator
-per call, re-keyed for each replicate.  Where the table size makes rejected
-words rare, a block maps numpy's raw Philox words onto [0, n) by numpy's own
-bounded-integer rule and redraws a row in which the rule rejects a word.
+per call, re-keyed for each replicate.  Where rejected words are rare, one
+product maps a block's raw Philox words to numpy's indices and rejection
+test; rows with a rejected word are redrawn, and the block is yielded alone.
 
 Point values of statistics are always computed on the original sample;
 the bootstrap only supplies uncertainties and counting probabilities.
@@ -135,9 +135,9 @@ def replicate_blocks(plan, n):
             words = np.empty((b, (n_prime + 1) // 2), dtype="<u8")
             for r in range(b):
                 words[r] = _keyed(gen, plan, lo + r).bit_generator.random_raw(words.shape[1])
-            x = words.view("<u4")[:, :n_prime]
-            redraw = np.flatnonzero((x * np.uint32(n)).min(axis=1) < 2**32 % n).tolist()  # low words of x * n
-            m = x * np.uint64(n)
+            m = np.multiply(words.view("<u4")[:, :n_prime], np.uint64(n), dtype="<u8")
+            del words  # while the consumer runs, the block is all this call holds
+            redraw = np.flatnonzero(m.view("<u4")[:, ::2].min(axis=1) < 2**32 % n).tolist()  # low words of x * n
             idx = np.right_shift(m, 32, out=m).view(np.int64).astype(np.intp, copy=False)
         else:
             idx = np.empty((b, n_prime), dtype=np.intp)

@@ -227,7 +227,7 @@ _TRANSFER_STATS = (StatKind.mse(), StatKind.mue(), StatKind.quantile(0.95, "hd")
 
 
 def _fisher_ci(r, m):
-    if abs(r) >= 1.0 or m <= 3:
+    if abs(r) >= 1.0:
         return r, r
     z = np.arctanh(r)
     half = 1.959963984540054 / np.sqrt(m - 3.0)

@@ -214,9 +214,9 @@ def delta_ecdf(e1, e2, plan, labels=("M1", "M2"), system_ids=None, uncertainty_b
 
     # Every replicate is a count row in sorted-delta order.  Its contraction
     # with these terms gives the numbers of strict gains and strict losses
-    # and the sums of strict gains, of strict losses and of all deltas; then
-    # its running total, taken in place, read at a tie group's end is how
-    # many resampled deltas lie at or below it.
+    # and the sums of strict gains, of strict losses and of all deltas; its
+    # running total, taken in place, fills its column of `below`, which is
+    # read once, after counting, at each tie group's last delta.
     position = np.empty(n, dtype=np.intp)
     position[order] = np.arange(n)
     terms = np.array([sorted_deltas < 0, sorted_deltas > 0, np.minimum(sorted_deltas, 0.0),
@@ -231,8 +231,8 @@ def delta_ecdf(e1, e2, plan, labels=("M1", "M2"), system_ids=None, uncertainty_b
             counts = np.empty((idx.shape[0], n))
         block = _count(np.take(position, idx, out=idx, mode="clip"), counts[: idx.shape[0]])
         sums[lo : lo + idx.shape[0]] = weighted_sums(block, terms)
-        below[:, lo : lo + idx.shape[0]] = np.cumsum(block, axis=1, out=block)[:, ends - 1].T
-    band_lo, band_hi = _percentile_band(below, n_prime)
+        below[:, lo : lo + idx.shape[0]] = np.cumsum(block, axis=1, out=block).T
+    band_lo, band_hi = (v[ends - 1] for v in _percentile_band(below, n_prime))
 
     n_gain, n_loss, gain_sum, loss_sum, delta_sum = sums.T
     has_gain, has_loss = n_gain > 0, n_loss > 0  # the replicates where MG (ML) is defined

@@ -183,6 +183,13 @@ def test_compare_unknown_method_is_validation_error(data, capsys):
     assert "unknown method" in capsys.readouterr().err
 
 
+def test_duplicate_header_column_exits_2_naming_it(tmp_path, capsys):
+    path = tmp_path / "dup.csv"
+    path.write_text("System,Ref,A,A\na,1,2,3\nb,2,3,4\nc,3,4,5\n")
+    assert run(["stats", str(path)]) == 2
+    assert "duplicate column name 'A'" in capsys.readouterr().err
+
+
 def test_unknown_flag_exits_2(data, capsys):
     assert run(["stats", data, "--frobnicate"]) == 2
 

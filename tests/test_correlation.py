@@ -44,6 +44,10 @@ def test_pearson_validation():
         pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         pearson([1.0, 2.0], [1.0, 2.0])
+    with pytest.raises(ValueError, match="1-d and the same length"):
+        pearson([1.0, 2.0, 3.0], [1.0, 2.0])
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite sums"):
+        pearson([1.0, 2.0, np.inf], [1.0, 2.0, 3.0])
 
 
 def test_midranks_with_ties():

@@ -8,12 +8,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from errstat.correlation import correlation_matrix
 from errstat.dataset import (
+    BenchmarkTable,
+    ErrorMatrix,
     ValidationError,
     _bulk_rows,
     errors_from_table,
     load_table,
 )
+from errstat.inference import BootstrapPlan
+from errstat.sip import abs_error_deltas, delta_ecdf, sip_matrix
 
 BASIC = "System,Ref,M1\na,1.0,0.9\nb,2.0,2.1\nc,3.0,3.0\n"
 
@@ -92,6 +97,8 @@ def test_header_validation():
         load_table("System,Ref\na,1\nb,2\n")
     with pytest.raises(ValidationError, match="no matching method"):
         load_table("System,Ref,M1,u:M2\na,1,2,0\nb,2,3,0\n")
+    with pytest.raises(ValidationError, match="duplicate column name 'A'"):
+        load_table("System,Ref,A,A\na,1,2,3\nb,2,3,4\n")
 
 
 def test_empty_header_cell_is_rejected_naming_its_position():
@@ -107,6 +114,39 @@ def test_lone_cr_inside_a_line_of_inline_text_is_a_validation_error():
     with pytest.raises(ValidationError) as info:
         load_table("System,Ref,M1\na,1\r,2\nb,2,3\n")
     assert str(info.value).startswith("row 2: new-line character seen in unquoted field")
+
+
+def _table(n=2, ref=None, u_ref=None, methods=None, calc_u=None):
+    ones = np.ones(n)
+    return BenchmarkTable([f"s{i}" for i in range(n)], ones if ref is None else ref, u_ref,
+                          {"M": ones} if methods is None else methods, calc_u or {})
+
+
+_SHORT = np.ones(1)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: _table(n=1), ValidationError, "need at least 2 systems, got 1"),
+    (lambda: _table(methods={}), ValidationError, "no method columns"),
+    (lambda: _table(ref=_SHORT), ValidationError, "reference column length mismatch"),
+    (lambda: _table(methods={"M": _SHORT}), ValidationError, "column 'M' length mismatch"),
+    (lambda: _table(calc_u={"M": _SHORT}), ValidationError, "column u:'M' length mismatch"),
+    (lambda: _table(u_ref=_SHORT), ValidationError, "uRef column length mismatch"),
+    (lambda: _table(calc_u={"X": np.ones(2)}), ValidationError, "uncertainty column for unknown method 'X'"),
+    (lambda: ErrorMatrix(np.ones(3), ["A"]), ValidationError, "2-d array"),
+    (lambda: ErrorMatrix(np.ones((3, 2)), ["A"]), ValidationError, "column count"),
+    (lambda: ErrorMatrix(np.ones((3, 1)), ["A"]).index_of("B"), KeyError, "unknown method 'B'"),
+    (lambda: load_table("\n"), ValidationError, "empty input"),
+    (lambda: load_table("System,Ref,M1\n"), ValidationError, "need at least 2 systems, got 0"),  # header only
+    (lambda: abs_error_deltas(np.ones(3), np.ones(2)), ValueError, "1-d and the same length"),
+    (lambda: sip_matrix(ErrorMatrix(np.ones((3, 1)), ["A"])), ValueError, "at least 2 methods"),
+    (lambda: delta_ecdf(np.ones(1), np.ones(1), BootstrapPlan(B=100)), ValueError, "at least 2 systems"),
+    (lambda: correlation_matrix(np.eye(3), method="kendall"), ValueError, "unknown correlation method 'kendall'"),
+])
+def test_library_input_checks_name_the_fault(call, error, message):
+    # Checks that the CLI's own validation keeps it from reaching; library callers meet them.
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 def test_too_few_rows():

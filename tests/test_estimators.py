@@ -38,6 +38,9 @@ def test_statkind_parse_and_validation():
         StatKind("q", q=0.0)
     with pytest.raises(ValueError):
         StatKind("mue", quantile_method="nearest")
+    with pytest.raises(ValueError, match="unknown statistic kind 'median'"):
+        StatKind("median")
+    assert StatKind.parse("q", q=0.9, method="type7") == StatKind.quantile(0.9, "type7")
 
 
 # ---------------------------------------------------------------- evaluate
@@ -58,6 +61,8 @@ def test_evaluate_quantile_goes_through_absolute_errors():
 def test_evaluate_rejects_short_input():
     with pytest.raises(ValueError):
         evaluate(StatKind.mue(), np.array([1.0]))
+    with pytest.raises(ValueError, match="2-d array of row samples"):
+        evaluate_rows(StatKind.mue(), np.array([1.0, 2.0]))
 
 
 @given(error_vectors)
@@ -239,6 +244,9 @@ def test_quantile_validation():
             fn(np.array([1.0]), 0.5)
     with pytest.raises(ValueError):
         quantile_hd(np.array([1.0, 2.0]), 1.0)
+    for q in (-0.1, 1.5):
+        with pytest.raises(ValueError, match=r"must be in \[0, 1\]"):
+            quantile_type7(np.array([1.0, 2.0]), q)
 
 
 @given(

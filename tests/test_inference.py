@@ -47,6 +47,16 @@ def test_plan_validation():
         plan.resample_size(4)
     assert plan.resample_size(9) == 5
     assert BootstrapPlan().resample_size(7) == 7
+    mue = StatKind.mue()
+    with pytest.raises(ValueError, match="at least 2 entries"):
+        bootstrap_se([1.0], mue, plan)
+    with pytest.raises(ValueError, match="same length"):
+        diff_sample([1.0, 2.0, 3.0], [1.0, 2.0], mue, plan)
+    two = ErrorMatrix(errors=np.ones((5, 2)), method_names=["A", "B"])
+    with pytest.raises(ValueError, match="unknown orientation 'best'"):
+        rank_probability_matrix(two, mue, plan, orientation="best")
+    with pytest.raises(ValueError, match="at least 2 methods"):
+        rank_probability_matrix(ErrorMatrix(errors=np.ones((5, 1)), method_names=["A"]), mue, plan)
 
 
 # ------------------------------------------------------------------ streams

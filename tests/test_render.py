@@ -27,6 +27,12 @@ def test_spec_validation():
         render_matrix(np.eye(2), ["A", "B"], "pie_chart")
     with pytest.raises(ValueError):
         render_matrix(np.eye(2), ["A", "B"], CORR_ELLIPSE, size_px=100)
+    with pytest.raises(ValueError, match="square matrix"):
+        render_matrix(np.eye(3)[:2], ["A", "B"], CORR_ELLIPSE)
+    with pytest.raises(ValueError, match=r"SIP values must be in \[0, 1\]"):
+        render_matrix(np.array([[0.0, 1.5], [0.5, 0.0]]), ["A", "B"], SIP_DISK)
+    with pytest.raises(ValueError, match="label count"):
+        render_matrix(np.eye(2), ["A", "B", "C"], RANK_HEATMAP)
 
 
 def test_corr_matrix_k2_glyphs_and_slants():

@@ -128,9 +128,11 @@ def _check_delta_ecdf(e1, e2, plan):
 
 @pytest.mark.parametrize("rows_per_block", [None, 7])
 def test_delta_ecdf_matches_gather_oracle_on_edge_pairs(rows_per_block, monkeypatch):
-    # The gain and loss counts are read from the running totals: pairs with
-    # no gain, no loss, only ties, ties at zero, at n' = n and n' < n; with
-    # 7 replicates per block, B = 100 spans 15 blocks and the last holds 2.
+    # The band is read from the running totals at tie-group ends, and the
+    # gain and loss counts from the contraction: pairs with no gain, no
+    # loss, only ties, ties at zero, tie groups at nonzero deltas, at n' = n
+    # and n' < n; with 7 replicates per block, B = 100 spans 15 blocks and
+    # the last holds 2.
     rng = np.random.default_rng(31)
     n = 60
     if rows_per_block:
@@ -143,6 +145,7 @@ def test_delta_ecdf_matches_gather_oracle_on_edge_pairs(rows_per_block, monkeypa
         (e, e.copy()),  # every delta 0
         (e, np.where(zero, -e, 2 * e)),  # deltas 0 or < 0: ties only at zero, no loss
         (e, np.where(zero, -e, rng.normal(size=n))),  # gains, losses and ties at zero
+        (np.round(4 * e) / 4, np.round(4 * rng.normal(size=n)) / 4),  # on a 0.25 grid: tie groups at nonzero deltas
     )
     for e1, e2 in pairs:
         for n_prime in (None, 25):
@@ -245,6 +248,21 @@ def test_replicate_stats_memory_is_bounded():
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20, f"{kind.label}: peak {peak / 2**20:.1f} MB"
+
+
+def test_delta_ecdf_memory_is_its_arrays_and_one_block():
+    # The running totals go straight into `below`, with no per-block gather:
+    # beside below, sums and the count buffer only the index block is live.
+    n, b = 100, 1000
+    e1, e2 = np.random.default_rng(9).normal(size=(2, n))
+    below, sums, counts, block = n * b * 2, b * 5 * 8, b * n * 8, b * n * np.dtype(np.intp).itemsize
+    tracemalloc.start()
+    try:
+        delta_ecdf(e1, e2, BootstrapPlan(B=b, seed=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < below + sums + counts + block + 256 * 2**10, f"peak {peak / 2**20:.2f} MiB"
 
 
 @pytest.mark.parametrize("b", [100, 121, 257, 1000])  # (121 - 1) * 0.025 is an integer
@@ -379,6 +397,19 @@ def test_table_size_alone_chooses_the_raw_word_map(n, mapped, monkeypatch):
                 assert sorted(j for j, use in calls if use == "bit_generator") == list(range(plan.B))
             else:
                 assert calls == [(j, "integers") for j in range(plan.B)]
+
+
+@pytest.mark.parametrize("n, b, rows", [(100, 2621, [1310, 1310, 1]), (5000, 1041, [26] * 40 + [1])])
+def test_a_yielded_block_is_the_only_array_the_draw_holds(n, b, rows):
+    # While the consumer runs, every array left in the generator's frame is
+    # a view of the block it handed out: no raw words, no product beside it.
+    blocks = inf.replicate_blocks(BootstrapPlan(B=b, seed=4), n)
+    drawn = []
+    for _, idx in blocks:
+        held = {name: v for name, v in blocks.gi_frame.f_locals.items() if isinstance(v, np.ndarray)}
+        assert all(np.shares_memory(v, idx) for v in held.values()), sorted(held)
+        drawn.append(len(idx))
+    assert drawn == rows
 
 
 def test_block_draw_of_an_empty_table():

@@ -16,7 +16,7 @@ from errstat.simulation import (
     population_folded_stats,
     type1_study,
 )
-from errstat.simulation import _cell_rng, _gh_moments
+from errstat.simulation import _cell_rng, _fisher_ci, _gh_moments
 
 
 def closed_form_moments(g, h):
@@ -102,6 +102,7 @@ def test_gh_params_validation():
     with pytest.raises(ValueError):
         GHParams(sigma=0.0)
     assert SCENARIOS["heavy"].h == 0.2
+    assert GHParams(0.2, 0.1, mu=1.5, sigma=2.0).label == "g=0.2,h=0.1,mu=1.5,sigma=2"
 
 
 def test_gh_sample_standardization():
@@ -194,6 +195,11 @@ def test_study_config_validation():
         StudyConfig(n_values=(5,))
     with pytest.raises(ValueError):
         StudyConfig(rho_values=(1.5,))
+
+
+def test_fisher_interval_of_a_perfect_correlation_is_the_point():
+    assert _fisher_ci(1.0, 100) == (1.0, 1.0)
+    assert _fisher_ci(-1.0, 100) == (-1.0, -1.0)
 
 
 def test_corr_transfer_small_smoke():
